@@ -15,7 +15,7 @@
  *
  * The bench also asserts (exit code) the archive's determinism
  * contract: re-running a search, and running it through
- * `ParallelMapper` at 4 threads, must reproduce the front
+ * `Mapper::searchWithThreads(4)`, must reproduce the front
  * bit-identically — entry by entry, metric by metric.
  */
 
@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
-#include "mapper/parallel_mapper.hh"
+#include "mapper/mapper.hh"
 
 using namespace sparseloop;
 
@@ -98,8 +98,7 @@ main()
         opts.strategy = kind;
         // EDP drives every strategy; the archive tracks the
         // cycles-vs-energy trade-off it passes through.
-        opts.objective =
-            ObjectiveSpec(Objective::Edp).withFrontMetrics(axes);
+        opts.objective = ObjectiveSpec().withFrontMetrics(axes);
         Mapper mapper(w, arch, safs, opts);
         Run run;
         run.seconds = bench::timeSeconds(
@@ -114,10 +113,8 @@ main()
         // Determinism: a repeat run and a 4-thread parallel run must
         // reproduce the front bit-identically.
         MapperResult again = Mapper(w, arch, safs, opts).search();
-        ParallelMapperOptions popts;
-        popts.num_threads = 4;
         MapperResult parallel =
-            ParallelMapper(w, arch, safs, opts, popts).search();
+            Mapper(w, arch, safs, opts).searchWithThreads(4);
         if (!identicalFronts(run.result.pareto_front,
                              again.pareto_front) ||
             !identicalFronts(run.result.pareto_front,

@@ -60,7 +60,7 @@ if [[ "${SPARSELOOP_TSAN:-0}" == "1" ]]; then
     # Serial on purpose: TSan instrumentation is memory-hungry, and a
     # bare -j before -R makes older ctest eat the filter.
     ctest --test-dir "${tsan_dir}" --output-on-failure \
-        -R 'test_(thread_pool|batch_evaluator|eval_cache|engine_differential|parallel_mapper|search_strategy|pareto_search|service_server|cache_persistence)'
+        -R 'test_(thread_pool|batch_evaluator|eval_cache|engine_differential|search_strategy|pareto_search|service_server|cache_persistence)'
 fi
 
 if [[ "${SPARSELOOP_SKIP_PERF:-0}" != "1" ]]; then

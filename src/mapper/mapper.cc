@@ -40,12 +40,6 @@ Mapper::Mapper(const Workload &workload, const Architecture &arch,
 {
 }
 
-double
-Mapper::objectiveValue(const EvalResult &eval) const
-{
-    return options_.objective.scalarize(MetricVector::of(eval));
-}
-
 MapperResult
 Mapper::search() const
 {

@@ -21,9 +21,9 @@
  *    maintains the Pareto archive alongside the incumbent
  *    (`MapperResult::pareto_front`).
  *
- * `ParallelMapper` is the same driver with a multi-threaded evaluation
- * pool; its results are bit-identical to the sequential `Mapper` at
- * every thread count, for every strategy.
+ * `Mapper::searchWithThreads(n)` runs the same driver with an
+ * n-thread evaluation pool; its results are bit-identical to
+ * `Mapper::search()` at every thread count, for every strategy.
  */
 
 #ifndef SPARSELOOP_MAPPER_MAPPER_HH
@@ -46,9 +46,9 @@ struct MapperOptions
     /**
      * How candidates are ranked (mapper/objective.hh): a single
      * metric, a weighted sum, a lexicographic order, or a constrained
-     * form. Defaults to EDP; the legacy `Objective` enum still
-     * assigns (`opts.objective = Objective::Delay`) and reproduces
-     * the historical scalar search bit-identically.
+     * form. Defaults to EDP, which reproduces the historical scalar
+     * search bit-identically; pick another metric with
+     * `ObjectiveSpec::single(Metric::Cycles)`.
      */
     ObjectiveSpec objective;
     /** Candidate budget: proposals evaluated before stopping (an
@@ -202,15 +202,6 @@ class Mapper
 
     /** The constraint-pruned mapspace the search runs over. */
     const MapSpace &mapspace() const { return *space_; }
-
-    /**
-     * Convenience: scalarize @p eval under this mapper's objective
-     * spec (`spec.scalarize(MetricVector::of(eval))`). The search
-     * loop does this inline; this accessor exists for callers scoring
-     * external evaluations — e.g. a hand-written mapping — on the
-     * same scale as the search result.
-     */
-    double objectiveValue(const EvalResult &eval) const;
 
   private:
     const Workload &workload_;

@@ -45,13 +45,6 @@ MetricVector::of(const EvalResult &eval)
 
 namespace {
 
-/** The default Pareto dimensions: the canonical co-design trade-off. */
-std::vector<Metric>
-defaultFrontMetrics()
-{
-    return {Metric::Cycles, Metric::Energy};
-}
-
 /** Exact-double three-way comparison (the historical `<` / `==`). */
 int
 compareScalar(double a, double b)
@@ -66,17 +59,6 @@ compareScalar(double a, double b)
 }
 
 } // namespace
-
-ObjectiveSpec::ObjectiveSpec(Objective legacy)
-    : form_(Form::Single), front_(defaultFrontMetrics())
-{
-    switch (legacy) {
-      case Objective::Edp: primary_ = Metric::Edp; return;
-      case Objective::Delay: primary_ = Metric::Cycles; return;
-      case Objective::Energy: primary_ = Metric::Energy; return;
-    }
-    SL_PANIC("unknown legacy objective");
-}
 
 ObjectiveSpec
 ObjectiveSpec::single(Metric metric)

@@ -2,8 +2,8 @@
  * @file
  * Pluggable search strategies over the mapspace IR.
  *
- * A strategy is a candidate generator: the driver (`Mapper` /
- * `ParallelMapper`) repeatedly asks it to `propose` a batch of
+ * A strategy is a candidate generator: the driver (`Mapper`)
+ * repeatedly asks it to `propose` a batch of
  * candidates, evaluates the batch through `BatchEvaluator` (so
  * deduplication, dense-prefix grouping, and the worker pool apply
  * during search), feeds scalar objectives back via `observe`, and

@@ -100,6 +100,16 @@ BatchEvaluator::evaluateBatch(const std::vector<EvalPoint> &points,
         std::shared_ptr<const DenseTraffic> dense;
         std::shared_ptr<const EvalResult> result;
     };
+    // A job the engine threw `FatalError` on gets an invalid stand-in
+    // result and no dense traffic; an unresolved job without dense
+    // traffic is never evaluated further or cached.
+    auto fail = [](Job &job, const FatalError &err) {
+        auto bad = std::make_shared<EvalResult>();
+        bad->valid = false;
+        bad->invalid_reason = err.what();
+        job.result = std::move(bad);
+        job.dense = nullptr;
+    };
     std::vector<Job> jobs;
     std::vector<std::size_t> point_to_job(points.size());
     std::unordered_map<HashedEvalKey, std::size_t, HashedEvalKeyHash>
@@ -173,7 +183,8 @@ BatchEvaluator::evaluateBatch(const std::vector<EvalPoint> &points,
     }
 
     // Fan work out over the persistent pool (chunked claiming, prompt
-    // abort and rethrow on the first exception). Workers only write
+    // abort and rethrow on the first exception other than the
+    // `FatalError`s caught per job below). Workers only write
     // into their own jobs[] slots; all cache insertions are buffered
     // and merged in bulk after each wave, so the hot loops touch no
     // shared mutex.
@@ -183,15 +194,24 @@ BatchEvaluator::evaluateBatch(const std::vector<EvalPoint> &points,
 
     // 3a. Materialize each group's Step-1 dense traffic exactly once
     //     (groups fan out across the pool; each hits the cache first).
+    //     A group shares its workload and mapping, so a malformed
+    //     mapping fails every job in it.
     std::vector<char> dense_computed(groups.size(), 0);
     fan_out(groups.size(), [&](std::size_t g) {
         const Job &lead = jobs[groups[g].front()];
         std::shared_ptr<const DenseTraffic> dense =
             cache_->findDense(lead.key.densePrefix(), lead.dense_hash);
         if (!dense) {
-            dense = std::make_shared<const DenseTraffic>(
-                engine_.analyzeDataflow(*lead.point->workload,
-                                        *lead.point->mapping));
+            try {
+                dense = std::make_shared<const DenseTraffic>(
+                    engine_.analyzeDataflow(*lead.point->workload,
+                                            *lead.point->mapping));
+            } catch (const FatalError &err) {
+                for (std::size_t j : groups[g]) {
+                    fail(jobs[j], err);
+                }
+                return;
+            }
             dense_computed[g] = 1;
         }
         for (std::size_t j : groups[g]) {
@@ -215,17 +235,26 @@ BatchEvaluator::evaluateBatch(const std::vector<EvalPoint> &points,
     // 3b. Evaluate the unresolved jobs (steps 2-3) across the pool.
     fan_out(unresolved.size(), [&](std::size_t u) {
         Job &job = jobs[unresolved[u]];
+        if (!job.dense) {
+            return;
+        }
         const EvalPoint &p = *job.point;
-        job.result = std::make_shared<const EvalResult>(
-            engine_.evaluateFromDense(*p.workload, *p.mapping, *p.safs,
-                                      *job.dense));
+        try {
+            job.result = std::make_shared<const EvalResult>(
+                engine_.evaluateFromDense(*p.workload, *p.mapping,
+                                          *p.safs, *job.dense));
+        } catch (const FatalError &err) {
+            fail(job, err);
+        }
     });
     {
         std::vector<EvalCache::ResultEntry> fresh_results;
         fresh_results.reserve(unresolved.size());
         for (std::size_t j : unresolved) {
-            fresh_results.push_back(
-                {jobs[j].key, jobs[j].key_hash, jobs[j].result});
+            if (jobs[j].dense) {
+                fresh_results.push_back(
+                    {jobs[j].key, jobs[j].key_hash, jobs[j].result});
+            }
         }
         if (!fresh_results.empty()) {
             cache_->storeResults(std::move(fresh_results));
@@ -252,31 +281,7 @@ BatchEvaluator::evaluateMappings(
     for (const Mapping *mapping : mappings) {
         points.push_back({&workload, mapping, &safs});
     }
-    try {
-        return evaluateBatch(points, stats);
-    } catch (const FatalError &) {
-        // A malformed candidate aborted the batched path; retry
-        // point-wise so only the offending mappings are lost (each
-        // comes back invalid instead of sinking the whole batch).
-    }
-    std::vector<EvalResult> results;
-    results.reserve(points.size());
-    for (const EvalPoint &p : points) {
-        try {
-            results.push_back(evaluate(*p.workload, *p.mapping, *p.safs));
-        } catch (const FatalError &err) {
-            EvalResult bad;
-            bad.valid = false;
-            bad.invalid_reason = err.what();
-            results.push_back(std::move(bad));
-        }
-    }
-    if (stats) {
-        stats->points = static_cast<std::int64_t>(points.size());
-        stats->unique_points = stats->points;
-        stats->dense_groups = 0;
-    }
-    return results;
+    return evaluateBatch(points, stats);
 }
 
 } // namespace sparseloop

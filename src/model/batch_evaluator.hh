@@ -9,7 +9,7 @@
  * it deduplicates points by `EvalKey`, groups the survivors by
  * `DenseKey` so each dense dataflow analysis runs once, then fans the
  * work out across the persistent worker pool (common/thread_pool.hh,
- * the same pool `ParallelMapper` and the search strategies ride) in
+ * the same pool the search strategies ride) in
  * two chunk-scheduled waves: dense analyses by group, then the
  * per-point sparse/micro-architecture steps. Every key is hashed once
  * per batch, workers write only their own slots, and cache
@@ -104,24 +104,25 @@ class BatchEvaluator
      * Evaluate a batch. Returns one result per input point, in input
      * order, each bit-identical to `engine().evaluate` on that point.
      * Invalid mappings (capacity overflow) come back as results with
-     * `valid == false`; malformed mappings that make the engine throw
-     * propagate the exception.
+     * `valid == false`. A malformed mapping that makes the engine
+     * throw `FatalError` loses only its own result: every point that
+     * shares its `EvalKey` comes back `valid == false` with the error
+     * text in `invalid_reason`, nothing is cached for it, and every
+     * other point's result is unchanged. A null `EvalPoint`
+     * component throws `FatalError`; any other exception propagates.
      *
      * @param points evaluation points (pointers must be non-null).
-     * @param stats optional out-parameter for work-sharing accounting.
+     * @param stats optional out-parameter for work-sharing accounting;
+     *        failed points are counted like any other.
      */
     std::vector<EvalResult>
     evaluateBatch(const std::vector<EvalPoint> &points,
                   BatchStats *stats = nullptr) const;
 
     /**
-     * Batch hook for candidate searches: evaluate many mappings of one
-     * (workload, SAF-spec) pair. Unlike `evaluateBatch`, a mapping
-     * that makes the engine throw `FatalError` does not abort the
-     * batch: the batched path is retried point-wise and the offending
-     * mappings come back as invalid results carrying the error text in
-     * `invalid_reason`. The well-formed mappings' results stay
-     * bit-identical to `engine().evaluate` on them.
+     * Batch hook for candidate searches: `evaluateBatch` over many
+     * mappings of one (workload, SAF-spec) pair, with the same
+     * results and error contract.
      *
      * @param mappings candidate mappings (pointers must be non-null
      *        and alive until the call returns).

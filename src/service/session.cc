@@ -36,9 +36,9 @@ handleEvaluateBatch(const ServiceRegistry &registry, WireReader &r,
         mappings.push_back(&m);
     }
     BatchStats stats;
-    // evaluateMappings (not evaluateBatch): one malformed mapping in
-    // a client's batch comes back as an invalid result with the
-    // engine's message, instead of failing the whole request.
+    // One malformed mapping in a client's batch comes back as an
+    // invalid result with the engine's message (evaluateBatch's error
+    // contract), instead of failing the whole request.
     EvaluateBatchReply reply;
     reply.results = ctx->evaluator->evaluateMappings(
         ctx->spec.workload, mappings, ctx->spec.safs, &stats);

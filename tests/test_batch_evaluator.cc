@@ -3,7 +3,8 @@
  * Tests for the batch evaluator: batched results must be bit-identical
  * to uncached sequential evaluation at every thread count, duplicates
  * must deduplicate, dense prefixes must group, caches must be shared,
- * and failures must propagate.
+ * null points must throw, and malformed mappings must come back
+ * invalid without touching the other results.
  */
 
 #include <gtest/gtest.h>
@@ -210,19 +211,52 @@ TEST(BatchEvaluator, NullPointComponentsAreFatal)
     EXPECT_THROW(evaluator.evaluateBatch(points), FatalError);
 }
 
-TEST(BatchEvaluator, MalformedMappingPropagatesFromWorkers)
+TEST(BatchEvaluator, MalformedMappingComesBackInvalid)
 {
     Architecture arch = batchArch();
     Sweep sweep(arch);
-    // A nest whose loop bounds don't cover the workload dims.
+    // A nest whose loop bounds don't cover the workload dims fails in
+    // Step 1; it is sent twice. A SAF at a level the architecture
+    // lacks fails in Step 2, beside good points sharing its Step-1
+    // prefix.
     Mapping broken(std::vector<LevelNest>{
         LevelNest{{Loop{0, 7, false}}, {}}, LevelNest{{}, {}}});
+    SafSpec bad_safs;
+    bad_safs.addSkip(5, sweep.workload.tensorIndex("B"),
+                     {sweep.workload.tensorIndex("A")});
     std::vector<EvalPoint> points = sweep.points;
     points.push_back({&sweep.workload, &broken, &sweep.safs[0]});
+    points.push_back({&sweep.workload, &broken, &sweep.safs[0]});
+    points.push_back({&sweep.workload, &sweep.mappings[0], &bad_safs});
     BatchEvaluatorOptions opts;
     opts.num_threads = 4;
     BatchEvaluator evaluator(Engine(arch), nullptr, opts);
-    EXPECT_THROW(evaluator.evaluateBatch(points), FatalError);
+    BatchStats stats;
+    std::vector<EvalResult> results =
+        evaluator.evaluateBatch(points, &stats);
+    ASSERT_EQ(results.size(), points.size());
+
+    const std::size_t good = sweep.points.size();
+    for (std::size_t i = good; i < points.size(); ++i) {
+        EXPECT_FALSE(results[i].valid) << "point " << i;
+        EXPECT_FALSE(results[i].invalid_reason.empty()) << "point " << i;
+    }
+    Engine engine(arch);
+    for (std::size_t i = 0; i < good; ++i) {
+        const EvalPoint &p = points[i];
+        EXPECT_TRUE(bitIdentical(
+            results[i], engine.evaluate(*p.workload, *p.mapping, *p.safs)))
+            << "point " << i;
+    }
+    // Both broken copies dedupe into one job; only the good jobs and
+    // their Step-1 prefixes are cached.
+    EXPECT_EQ(stats.points, static_cast<std::int64_t>(points.size()));
+    EXPECT_EQ(stats.unique_points, static_cast<std::int64_t>(good) + 2);
+    EvalCacheStats cached = evaluator.cache().stats();
+    EXPECT_EQ(cached.result_entries, good);
+    EXPECT_EQ(cached.dense_entries, sweep.mappings.size());
+    EXPECT_FALSE(evaluator.cache().findResult(EvalKey::of(
+        evaluator.engine(), sweep.workload, broken, sweep.safs[0])));
 }
 
 TEST(BatchEvaluator, ThreadCountClampsToJobs)

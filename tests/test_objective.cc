@@ -74,12 +74,15 @@ TEST(MetricVector, ExtractsEveryMetricFromAnEvalResult)
     EXPECT_DOUBLE_EQ(flat.peakCapacityWords(), 42.0);
 }
 
-TEST(ObjectiveSpec, LegacyEnumBridgesToSingleMetricSpecs)
+TEST(ObjectiveSpec, SingleMetricSpecsScalarize)
 {
     const MetricVector m = vec(50.0, 4.0);
-    EXPECT_DOUBLE_EQ(ObjectiveSpec(Objective::Edp).scalarize(m), 200.0);
-    EXPECT_DOUBLE_EQ(ObjectiveSpec(Objective::Delay).scalarize(m), 50.0);
-    EXPECT_DOUBLE_EQ(ObjectiveSpec(Objective::Energy).scalarize(m), 4.0);
+    EXPECT_DOUBLE_EQ(ObjectiveSpec::single(Metric::Edp).scalarize(m),
+                     200.0);
+    EXPECT_DOUBLE_EQ(ObjectiveSpec::single(Metric::Cycles).scalarize(m),
+                     50.0);
+    EXPECT_DOUBLE_EQ(ObjectiveSpec::single(Metric::Energy).scalarize(m),
+                     4.0);
     // The default spec is EDP with the cycles-vs-energy front.
     ObjectiveSpec def;
     EXPECT_EQ(def.form(), ObjectiveSpec::Form::Single);

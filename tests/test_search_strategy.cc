@@ -4,7 +4,8 @@
  * bit-identity of RandomSearch with the pre-IR rejection-sampling
  * mapper, exhaustive optimality on small spaces, constraint honoring
  * under every strategy, per-strategy determinism across repeated runs
- * and 1/4/8 evaluation threads (annealing and genetic included),
+ * and 0/1/4/8/16 evaluation threads (annealing and genetic included,
+ * plus the delay and energy objectives and more threads than samples),
  * batch-size independence of the round-streamed strategies, warm
  * starts through WarmStartPool, and the distinguishable all-invalid
  * outcome.
@@ -18,7 +19,7 @@
 
 #include "common/logging.hh"
 #include "common/mathutil.hh"
-#include "mapper/parallel_mapper.hh"
+#include "mapper/mapper.hh"
 #include "workload/builders.hh"
 
 namespace sparseloop {
@@ -278,6 +279,7 @@ TEST(SearchStrategies, DeterministicAcrossRunsAndThreadsPerStrategy)
     cons.levels.resize(2);
     cons.levels[1].loop_order = {w.dimIndex("M"), w.dimIndex("K")};
 
+    std::vector<MapperOptions> cases;
     for (SearchStrategyKind kind :
          {SearchStrategyKind::Random, SearchStrategyKind::Exhaustive,
           SearchStrategyKind::Hybrid, SearchStrategyKind::Annealing,
@@ -286,24 +288,42 @@ TEST(SearchStrategies, DeterministicAcrossRunsAndThreadsPerStrategy)
         MapperOptions opts;
         opts.samples = kind == SearchStrategyKind::Exhaustive ? 4000 : 300;
         opts.strategy = kind;
+        cases.push_back(opts);
+    }
+    // The Delay and Energy objectives.
+    for (Metric metric : {Metric::Cycles, Metric::Energy}) {
+        MapperOptions opts;
+        opts.samples = 300;
+        opts.objective = ObjectiveSpec::single(metric);
+        cases.push_back(opts);
+    }
+    // More threads than samples: the pool caps the workers at the
+    // job count.
+    MapperOptions tiny;
+    tiny.samples = 3;
+    cases.push_back(tiny);
+
+    for (const MapperOptions &opts : cases) {
         // One evaluation worker, run twice: same seed -> same result.
         MapperResult seq = Mapper(w, arch, safs, opts, cons).search();
         ASSERT_TRUE(seq.found);
+        const std::string label = "strategy=" + seq.strategy +
+                                  " objective=" +
+                                  opts.objective.describe() +
+                                  " samples=" +
+                                  std::to_string(opts.samples);
         {
-            SCOPED_TRACE("strategy=" + seq.strategy + " repeat-run");
+            SCOPED_TRACE(label + " repeat-run");
             MapperResult again =
                 Mapper(w, arch, safs, opts, cons).search();
             expectIdentical(seq, again);
         }
-        // 1 vs 4 vs 8 evaluation workers: bit-identical best mapping.
-        for (int threads : {1, 4, 8}) {
-            ParallelMapperOptions popts;
-            popts.num_threads = threads;
-            MapperResult par =
-                ParallelMapper(w, arch, safs, opts, popts, cons)
-                    .search();
-            SCOPED_TRACE("strategy=" + seq.strategy +
-                         " threads=" + std::to_string(threads));
+        // 1 to 16 evaluation workers, and 0 (all cores): bit-identical
+        // best mapping.
+        for (int threads : {0, 1, 4, 8, 16}) {
+            MapperResult par = Mapper(w, arch, safs, opts, cons)
+                                   .searchWithThreads(threads);
+            SCOPED_TRACE(label + " threads=" + std::to_string(threads));
             expectIdentical(seq, par);
         }
     }
