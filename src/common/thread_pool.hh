@@ -1,8 +1,9 @@
 /**
  * @file
  * Persistent worker pool shared by every parallel fan-out in the tree
- * (BatchEvaluator's evaluation waves, and through it
- * `Mapper::searchWithThreads` and the round-based search strategies).
+ * (BatchEvaluator's evaluation waves, one per mapper batch, and
+ * through it `Mapper::searchWithThreads` and the round-based search
+ * strategies).
  *
  * The previous helpers (common/parallel.hh) spawned one `std::thread`
  * per call: a mapper batch of a handful of evaluations paid several

@@ -1134,12 +1134,108 @@ MapSpace::crossover(const Point &a, const Point &b,
 std::optional<MapSpace::Point>
 MapSpace::randomNeighbor(const Point &point, std::mt19937_64 &rng) const
 {
-    std::vector<Point> moves = neighbors(point);
-    if (moves.empty()) {
+    // Count the moves of each category in the order `neighbors` emits
+    // them, draw the same index, and build (and reconcile) only that
+    // move instead of the whole neighborhood.
+    const int S = levelCount();
+    const int D = dimCount();
+    auto tilingMove = [&](int d, int delta) {
+        std::int64_t next = delta + static_cast<std::int64_t>(
+            point.tiling[static_cast<std::size_t>(d)]);
+        return next >= 0 && next < splitCount(d);
+    };
+    std::size_t tiling_moves = 0;
+    for (int d = 0; d < D; ++d) {
+        tiling_moves += static_cast<std::size_t>(tilingMove(d, -1)) +
+            static_cast<std::size_t>(tilingMove(d, 1));
+    }
+    std::size_t order_moves = 0;
+    for (int l = 0; l < S; ++l) {
+        const auto &order = point.order[static_cast<std::size_t>(l)];
+        if (!orderConstrained(l) && !order.empty()) {
+            order_moves += order.size() - 1;
+        }
+    }
+    auto factors = tilingFactors(point.tiling);
+    std::vector<std::vector<int>> spatial_alts(static_cast<std::size_t>(S));
+    std::size_t spatial_moves = 0;
+    for (int l = 0; l < S; ++l) {
+        auto &alts = spatial_alts[static_cast<std::size_t>(l)];
+        alts = spatialCandidates(l, factors[static_cast<std::size_t>(l)]);
+        alts.erase(std::remove(alts.begin(), alts.end(),
+                               point.spatial[static_cast<std::size_t>(l)]),
+                   alts.end());
+        spatial_moves += alts.size();
+    }
+    auto keepAlts = [&](int l) {
+        std::size_t n = keep_choices_[static_cast<std::size_t>(l)].size();
+        return n - (point.keep[static_cast<std::size_t>(l)] < n ? 1 : 0);
+    };
+    std::size_t keep_moves = 0;
+    for (int l = 0; l < S; ++l) {
+        keep_moves += keepAlts(l);
+    }
+    const std::size_t total =
+        tiling_moves + order_moves + spatial_moves + keep_moves;
+    if (total == 0) {
         return std::nullopt;
     }
-    std::uniform_int_distribution<std::size_t> pick(0, moves.size() - 1);
-    return std::move(moves[pick(rng)]);
+    std::uniform_int_distribution<std::size_t> pick(0, total - 1);
+    std::size_t k = pick(rng);
+
+    Point p = point;
+    if (k < tiling_moves) {
+        for (int d = 0; d < D; ++d) {
+            for (int delta : {-1, 1}) {
+                if (!tilingMove(d, delta)) {
+                    continue;
+                }
+                if (k-- == 0) {
+                    auto &idx = p.tiling[static_cast<std::size_t>(d)];
+                    idx = static_cast<std::size_t>(
+                        static_cast<std::int64_t>(idx) + delta);
+                    return reconcile(std::move(p));
+                }
+            }
+        }
+    }
+    k -= tiling_moves;
+    if (k < order_moves) {
+        for (int l = 0; l < S; ++l) {
+            auto &order = p.order[static_cast<std::size_t>(l)];
+            if (orderConstrained(l) || order.empty()) {
+                continue;
+            }
+            if (k < order.size() - 1) {
+                std::swap(order[k], order[k + 1]);
+                return p;
+            }
+            k -= order.size() - 1;
+        }
+    }
+    k -= order_moves;
+    if (k < spatial_moves) {
+        for (int l = 0; l < S; ++l) {
+            const auto &alts = spatial_alts[static_cast<std::size_t>(l)];
+            if (k < alts.size()) {
+                p.spatial[static_cast<std::size_t>(l)] = alts[k];
+                return p;
+            }
+            k -= alts.size();
+        }
+    }
+    k -= spatial_moves;
+    for (int l = 0; l < S; ++l) {
+        std::size_t n = keepAlts(l);
+        if (k < n) {
+            // Alternatives skip the current mask, as in `neighbors`.
+            std::size_t current = point.keep[static_cast<std::size_t>(l)];
+            p.keep[static_cast<std::size_t>(l)] = k < current ? k : k + 1;
+            return p;
+        }
+        k -= n;
+    }
+    SL_PANIC("neighbor index out of range");
 }
 
 std::vector<MapSpace::Point>

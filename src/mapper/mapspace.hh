@@ -372,7 +372,12 @@ class MapSpace
     /**
      * A uniformly drawn entry of `neighbors(point)`, or `nullopt` for
      * an isolated point. Consumes @p rng exactly one draw when the
-     * neighborhood is non-empty (none otherwise).
+     * neighborhood is non-empty (none otherwise). Only the drawn move
+     * is built: the moves of each category are counted in the order
+     * `neighbors` emits them, the index is drawn as
+     * `uniform_int_distribution<size_t>(0, n - 1)` over that count,
+     * and only a tiling move is `reconcile`d — so the result is the
+     * entry `neighbors(point)[index]` at the same generator state.
      */
     std::optional<Point> randomNeighbor(const Point &point,
                                         std::mt19937_64 &rng) const;

@@ -102,7 +102,7 @@ BatchEvaluator::evaluateBatch(const std::vector<EvalPoint> &points,
     };
     // A job the engine threw `FatalError` on gets an invalid stand-in
     // result and no dense traffic; an unresolved job without dense
-    // traffic is never evaluated further or cached.
+    // traffic is never cached.
     auto fail = [](Job &job, const FatalError &err) {
         auto bad = std::make_shared<EvalResult>();
         bad->valid = false;
@@ -182,62 +182,29 @@ BatchEvaluator::evaluateBatch(const std::vector<EvalPoint> &points,
         stats->dense_groups = static_cast<std::int64_t>(groups.size());
     }
 
-    // Fan work out over the persistent pool (chunked claiming, prompt
-    // abort and rethrow on the first exception other than the
-    // `FatalError`s caught per job below). Workers only write
-    // into their own jobs[] slots; all cache insertions are buffered
-    // and merged in bulk after each wave, so the hot loops touch no
-    // shared mutex.
-    auto fan_out = [this](std::size_t count, parallel::IndexBody work) {
-        parallel::parallelFor(threadCount(count), count, work);
-    };
-
-    // 3a. Materialize each group's Step-1 dense traffic exactly once
-    //     (groups fan out across the pool; each hits the cache first).
-    //     A group shares its workload and mapping, so a malformed
-    //     mapping fails every job in it.
-    std::vector<char> dense_computed(groups.size(), 0);
-    fan_out(groups.size(), [&](std::size_t g) {
-        const Job &lead = jobs[groups[g].front()];
-        std::shared_ptr<const DenseTraffic> dense =
-            cache_->findDense(lead.key.densePrefix(), lead.dense_hash);
-        if (!dense) {
-            try {
-                dense = std::make_shared<const DenseTraffic>(
-                    engine_.analyzeDataflow(*lead.point->workload,
-                                            *lead.point->mapping));
-            } catch (const FatalError &err) {
-                for (std::size_t j : groups[g]) {
-                    fail(jobs[j], err);
-                }
-                return;
-            }
-            dense_computed[g] = 1;
-        }
-        for (std::size_t j : groups[g]) {
-            jobs[j].dense = dense;
-        }
-    });
-    {
-        std::vector<EvalCache::DenseEntry> fresh_dense;
-        for (std::size_t g = 0; g < groups.size(); ++g) {
-            if (dense_computed[g]) {
-                const Job &lead = jobs[groups[g].front()];
-                fresh_dense.push_back({lead.key.densePrefix(),
-                                       lead.dense_hash, lead.dense});
-            }
-        }
-        if (!fresh_dense.empty()) {
-            cache_->storeDenses(std::move(fresh_dense));
+    // 3. One wave over the dense groups on the persistent pool
+    //    (chunked claiming, prompt abort and rethrow on the first
+    //    exception other than the `FatalError`s caught per job below).
+    //    Each group fetches its Step-1 dense traffic from the cache or
+    //    computes it. A one-job group then runs steps 2-3 in the same
+    //    task; if its dense entry missed it takes the cold
+    //    `Engine::evaluate` path, which moves the dense traffic into
+    //    the result instead of copying it, and its fresh dense entry
+    //    is an aliasing pointer to that result's own `dense` member.
+    //    The jobs of larger groups are left for a second wave, one
+    //    task per job, which runs only when such a group exists.
+    //    Workers only write into their own jobs[] and fresh[] slots;
+    //    all cache insertions are buffered and merged in bulk after
+    //    the waves, so the hot loops touch no shared mutex.
+    std::vector<std::shared_ptr<const DenseTraffic>> fresh(groups.size());
+    std::vector<std::size_t> shared_jobs;
+    for (const std::vector<std::size_t> &group : groups) {
+        if (group.size() > 1) {
+            shared_jobs.insert(shared_jobs.end(), group.begin(),
+                               group.end());
         }
     }
-
-    // 3b. Evaluate the unresolved jobs (steps 2-3) across the pool.
-    fan_out(unresolved.size(), [&](std::size_t u) {
-        Job &job = jobs[unresolved[u]];
-        if (!job.dense) {
-            return;
-        }
+    auto stepsTwoThree = [&](Job &job) {
         const EvalPoint &p = *job.point;
         try {
             job.result = std::make_shared<const EvalResult>(
@@ -246,8 +213,74 @@ BatchEvaluator::evaluateBatch(const std::vector<EvalPoint> &points,
         } catch (const FatalError &err) {
             fail(job, err);
         }
-    });
+    };
+    parallel::parallelFor(
+        threadCount(groups.size()), groups.size(), [&](std::size_t g) {
+            const std::vector<std::size_t> &group = groups[g];
+            Job &lead = jobs[group.front()];
+            const EvalPoint &lp = *lead.point;
+            std::shared_ptr<const DenseTraffic> dense = cache_->findDense(
+                lead.key.densePrefix(), lead.dense_hash);
+            if (!dense && group.size() == 1) {
+                try {
+                    auto result = std::make_shared<const EvalResult>(
+                        engine_.evaluate(*lp.workload, *lp.mapping,
+                                         *lp.safs));
+                    lead.dense = std::shared_ptr<const DenseTraffic>(
+                        result, &result->dense);
+                    lead.result = std::move(result);
+                    fresh[g] = lead.dense;
+                } catch (const FatalError &err) {
+                    fail(lead, err);
+                }
+                return;
+            }
+            if (!dense) {
+                // A group shares its workload and mapping, so a
+                // malformed mapping fails every job in it.
+                try {
+                    dense = std::make_shared<const DenseTraffic>(
+                        engine_.analyzeDataflow(*lp.workload,
+                                                *lp.mapping));
+                } catch (const FatalError &err) {
+                    for (std::size_t j : group) {
+                        fail(jobs[j], err);
+                    }
+                    return;
+                }
+                fresh[g] = dense;
+            }
+            for (std::size_t j : group) {
+                jobs[j].dense = dense;
+            }
+            if (group.size() == 1) {
+                stepsTwoThree(lead);
+            }
+        });
+    // Jobs whose group failed Step 1 already hold their invalid result.
+    if (!shared_jobs.empty()) {
+        parallel::parallelFor(
+            threadCount(shared_jobs.size()), shared_jobs.size(),
+            [&](std::size_t i) {
+                Job &job = jobs[shared_jobs[i]];
+                if (job.dense) {
+                    stepsTwoThree(job);
+                }
+            });
+    }
     {
+        std::vector<EvalCache::DenseEntry> fresh_dense;
+        for (std::size_t g = 0; g < groups.size(); ++g) {
+            if (fresh[g]) {
+                const Job &lead = jobs[groups[g].front()];
+                fresh_dense.push_back({lead.key.densePrefix(),
+                                       lead.dense_hash,
+                                       std::move(fresh[g])});
+            }
+        }
+        if (!fresh_dense.empty()) {
+            cache_->storeDenses(std::move(fresh_dense));
+        }
         std::vector<EvalCache::ResultEntry> fresh_results;
         fresh_results.reserve(unresolved.size());
         for (std::size_t j : unresolved) {

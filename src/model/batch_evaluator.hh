@@ -8,15 +8,24 @@
  * specifications over one tile shape). `BatchEvaluator` exploits both:
  * it deduplicates points by `EvalKey`, groups the survivors by
  * `DenseKey` so each dense dataflow analysis runs once, then fans the
- * work out across the persistent worker pool (common/thread_pool.hh,
- * the same pool the search strategies ride) in
- * two chunk-scheduled waves: dense analyses by group, then the
- * per-point sparse/micro-architecture steps. Every key is hashed once
- * per batch, workers write only their own slots, and cache
- * insertions are buffered and merged into the `EvalCache` shards in
- * bulk after each wave. All lookups and computations go through a
- * shared `EvalCache`, so repeated `evaluateBatch` calls — and any
- * mapper sharing the cache — keep hitting.
+ * groups out across the persistent worker pool (common/thread_pool.hh,
+ * the same pool the search strategies ride) in one chunk-scheduled
+ * wave: each group task fetches or computes its Step-1 dense traffic,
+ * and a one-point group then runs the sparse/micro-architecture steps
+ * in the same task. The points of larger groups run those steps in a
+ * second wave, one task per point; a batch of one-point groups (every
+ * mapper batch, which carries a single SAF spec) never starts it. A
+ * one-point group whose dense traffic is not cached takes the cold
+ * `Engine::evaluate` path, which moves the dense traffic into the
+ * result instead of copying it; the cache's fresh dense entry is then
+ * an aliasing pointer to that result's own `dense` member instead of
+ * a second copy of the traffic (the cache copies the traffic out only
+ * if the result level drops that result). Every key is hashed once
+ * per batch, workers write only their own slots, and cache insertions
+ * are buffered and merged into the `EvalCache` shards in bulk after
+ * the waves. All lookups and computations go through a shared
+ * `EvalCache`, so repeated `evaluateBatch` calls — and any mapper
+ * sharing the cache — keep hitting.
  *
  * Results are bit-identical to calling `Engine::evaluate` on every
  * point sequentially: deduplicated points receive copies of the same

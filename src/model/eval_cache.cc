@@ -6,6 +6,7 @@
 #include "model/eval_cache.hh"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "common/logging.hh"
@@ -85,14 +86,23 @@ findEntry(const Map &map, std::mutex &mutex,
     return it->second;
 }
 
-/** Shared evict-emplace body of both cache levels; the caller must
- *  hold the shard mutex and pass the entry's precomputed key.hash(). */
+/** An entry a store took out of, or kept out of, the cache. */
 template <typename Map>
-void
+using Displaced = std::optional<
+    std::pair<typename Map::key_type, typename Map::mapped_type>>;
+
+/** Shared evict-emplace body of both cache levels; the caller must
+ *  hold the shard mutex and pass the entry's precomputed key.hash().
+ *  Returns the entry evicted to make room, or the incoming one when
+ *  its key was already resident (the first value wins races), or
+ *  nothing. */
+template <typename Map>
+Displaced<Map>
 storeEntryLocked(Map &map, const typename Map::key_type &key,
                  std::uint64_t hash, typename Map::mapped_type value,
                  std::size_t max_entries)
 {
+    Displaced<Map> displaced;
     if (max_entries > 0 && map.size() >= max_entries &&
         map.find(key) == map.end()) {
         // Pseudo-random replacement: probe buckets starting from a
@@ -107,12 +117,17 @@ storeEntryLocked(Map &map, const typename Map::key_type &key,
             std::size_t b = (start + probe) % buckets;
             auto it = map.begin(b);
             if (it != map.end(b)) {
-                map.erase(it->first);
+                displaced.emplace(it->first, std::move(it->second));
+                map.erase(displaced->first);
                 break;
             }
         }
     }
-    map.emplace(key, std::move(value));
+    // try_emplace leaves `value` untouched when the key is resident.
+    if (!map.try_emplace(key, std::move(value)).second) {
+        displaced.emplace(key, std::move(value));
+    }
+    return displaced;
 }
 
 } // namespace
@@ -143,9 +158,35 @@ EvalCache::storeResult(const EvalKey &key, std::uint64_t hash,
                        std::shared_ptr<const EvalResult> result)
 {
     Shard &shard = shardFor(hash);
+    Displaced<ResultMap> displaced;
+    {
+        std::lock_guard<std::mutex> lock(shard.mutex);
+        displaced = storeEntryLocked(shard.results, key, hash,
+                                     std::move(result),
+                                     options_.max_entries_per_shard);
+    }
+    if (displaced) {
+        unpinDisplaced(displaced->first, displaced->second);
+    }
+}
+
+void
+EvalCache::unpinDisplaced(const EvalKey &key,
+                          const std::shared_ptr<const EvalResult> &result)
+{
+    // Only an aliasing dense entry (or an in-flight caller) shares
+    // ownership of a displaced result; a sole owner needs no lookup.
+    if (result.use_count() == 1) {
+        return;
+    }
+    const DenseTraffic *member = &result->dense;
+    const DenseKey dense_key = key.densePrefix();
+    Shard &shard = shardFor(dense_key.hash());
     std::lock_guard<std::mutex> lock(shard.mutex);
-    storeEntryLocked(shard.results, key, hash, std::move(result),
-                     options_.max_entries_per_shard);
+    auto it = shard.dense.find(dense_key);
+    if (it != shard.dense.end() && it->second.get() == member) {
+        it->second = std::make_shared<const DenseTraffic>(*member);
+    }
 }
 
 std::shared_ptr<const DenseTraffic>
@@ -200,6 +241,7 @@ EvalCache::storeResults(std::vector<ResultEntry> entries)
     for (std::size_t i = 0; i < entries.size(); ++i) {
         per_shard[shardIndex(entries[i].hash, nshards)].push_back(i);
     }
+    std::vector<Displaced<ResultMap>> displaced;
     for (std::size_t s = 0; s < nshards; ++s) {
         if (per_shard[s].empty()) {
             continue;
@@ -207,11 +249,17 @@ EvalCache::storeResults(std::vector<ResultEntry> entries)
         Shard &shard = *shards_[s];
         std::lock_guard<std::mutex> lock(shard.mutex);
         for (std::size_t i : per_shard[s]) {
-            storeEntryLocked(shard.results, entries[i].key,
-                             entries[i].hash,
-                             std::move(entries[i].result),
-                             options_.max_entries_per_shard);
+            auto out = storeEntryLocked(shard.results, entries[i].key,
+                                        entries[i].hash,
+                                        std::move(entries[i].result),
+                                        options_.max_entries_per_shard);
+            if (out) {
+                displaced.push_back(std::move(out));
+            }
         }
+    }
+    for (const Displaced<ResultMap> &out : displaced) {
+        unpinDisplaced(out->first, out->second);
     }
 }
 
@@ -315,14 +363,18 @@ evaluateCached(const Engine &engine, EvalCache &cache, const EvalKey &key,
         return *hit;
     }
     const DenseKey dense_key = key.densePrefix();
-    std::shared_ptr<const DenseTraffic> dense = cache.findDense(dense_key);
-    if (!dense) {
-        dense = std::make_shared<const DenseTraffic>(
-            engine.analyzeDataflow(workload, mapping));
-        cache.storeDense(dense_key, dense);
+    std::shared_ptr<const EvalResult> result;
+    if (auto dense = cache.findDense(dense_key)) {
+        result = std::make_shared<const EvalResult>(
+            engine.evaluateFromDense(workload, mapping, safs, *dense));
+    } else {
+        // Cold path, as for a one-point batch group: the result owns
+        // the dense traffic and the dense entry aliases it.
+        result = std::make_shared<const EvalResult>(
+            engine.evaluate(workload, mapping, safs));
+        cache.storeDense(dense_key, std::shared_ptr<const DenseTraffic>(
+                                        result, &result->dense));
     }
-    auto result = std::make_shared<const EvalResult>(
-        engine.evaluateFromDense(workload, mapping, safs, *dense));
     cache.storeResult(key, result);
     return *result;
 }

@@ -14,6 +14,14 @@
  *  - **Dense level** — Step-1 `DenseTraffic` keyed by `DenseKey`
  *    (workload id, mapping signature). SAF sweeps over a fixed mapping
  *    miss the result level but hit here, skipping the dataflow step.
+ *    A dense entry stored by a cold evaluation (`evaluateCached` on a
+ *    double miss, a one-point `BatchEvaluator` group) is an aliasing
+ *    `shared_ptr` into the `dense` member of the full result it came
+ *    from, so one copy of the traffic serves both levels. When the
+ *    result level evicts that result, or never admits it because a
+ *    concurrent store of the same key came first, the dense entry
+ *    gets its own copy of the traffic, so it never pins a whole
+ *    result the result level does not hold.
  *
  * The store is sharded by key hash: each shard owns its own mutex and
  * maps, so concurrent mapper workers rarely contend. Cached values are
@@ -226,9 +234,12 @@ class EvalCache
 
     /**
      * Bulk full-result insertion: entries are grouped by shard and
-     * each touched shard is locked exactly once, so a worker can
-     * buffer a whole batch wave and merge it with O(shards) mutex
-     * acquisitions instead of O(entries).
+     * each touched shard is locked exactly once, so a batch can
+     * buffer the entries of its whole evaluation and merge them
+     * with O(shards) mutex acquisitions instead of O(entries). A
+     * displaced result (see `unpinDisplaced`) that a dense entry
+     * aliases costs one more acquisition, of that entry's shard,
+     * after the bulk merge.
      */
     void storeResults(std::vector<ResultEntry> entries);
 
@@ -256,11 +267,13 @@ class EvalCache
     const EvalCacheOptions &options() const { return options_; }
 
   private:
+    using ResultMap =
+        std::unordered_map<EvalKey, std::shared_ptr<const EvalResult>,
+                           EvalKeyHash>;
     struct Shard
     {
         mutable std::mutex mutex;
-        std::unordered_map<EvalKey, std::shared_ptr<const EvalResult>,
-                           EvalKeyHash> results;
+        ResultMap results;
         std::unordered_map<DenseKey, std::shared_ptr<const DenseTraffic>,
                            DenseKeyHash> dense;
     };
@@ -273,13 +286,28 @@ class EvalCache
     mutable std::atomic<std::int64_t> dense_misses_{0};
 
     Shard &shardFor(std::uint64_t hash) const;
+
+    /**
+     * Give the dense entry that aliases a displaced result's `dense`
+     * member, if any, its own copy of the traffic, so the dense level
+     * never pins a whole result the result level does not hold. A
+     * result is displaced when it is evicted, or when a store finds
+     * its key already resident (a concurrent batch stored it first).
+     * Takes the dense entry's shard mutex, so call it with no shard
+     * mutex held.
+     */
+    void unpinDisplaced(const EvalKey &key,
+                        const std::shared_ptr<const EvalResult> &result);
 };
 
 /**
  * Evaluate one point through the cache: serve a memoized result when
- * available, otherwise reuse (or compute and memoize) the Step-1 dense
- * traffic and run steps 2-3. Returns exactly what
- * `engine.evaluate(workload, mapping, safs)` would return.
+ * available, otherwise reuse the cached Step-1 dense traffic and run
+ * steps 2-3, or — on a miss at both levels — run `Engine::evaluate`
+ * and memoize the result plus a dense entry aliasing its `dense`
+ * member (the entry a one-point `BatchEvaluator` group stores).
+ * Returns exactly what `engine.evaluate(workload, mapping, safs)`
+ * would return.
  */
 EvalResult evaluateCached(const Engine &engine, EvalCache &cache,
                           const Workload &workload, const Mapping &mapping,

@@ -3,8 +3,10 @@
  * Tests for the batch evaluator: batched results must be bit-identical
  * to uncached sequential evaluation at every thread count, duplicates
  * must deduplicate, dense prefixes must group, caches must be shared,
- * null points must throw, and malformed mappings must come back
- * invalid without touching the other results.
+ * cold one-point groups must store dense entries that alias their
+ * results and outlive their eviction without pinning them, null
+ * points must throw, and malformed mappings must come back invalid
+ * without touching the other results.
  */
 
 #include <gtest/gtest.h>
@@ -149,6 +151,110 @@ TEST(BatchEvaluator, SecondBatchIsServedFromCache)
     }
 }
 
+TEST(BatchEvaluator, ColdGroupsStoreAliasedDenseEntries)
+{
+    Architecture arch = batchArch();
+    Sweep sweep(arch);
+    Engine engine(arch);
+
+    // The default cache keeps everything; a one-shard cache bounded at
+    // two entries per level (and fed two mappings, so no dense entry
+    // is evicted) evicts results whose aliasing dense entries must
+    // survive intact without pinning the evicted results.
+    EvalCacheOptions bounded;
+    bounded.shards = 1;
+    bounded.max_entries_per_shard = 2;
+    for (const EvalCacheOptions &copts : {EvalCacheOptions{}, bounded}) {
+        SCOPED_TRACE("max_entries_per_shard=" +
+                     std::to_string(copts.max_entries_per_shard));
+        const bool evicts = copts.max_entries_per_shard == 2;
+        const std::size_t used = evicts ? 2 : sweep.mappings.size();
+        auto cache = std::make_shared<EvalCache>(copts);
+        BatchEvaluatorOptions opts;
+        opts.num_threads = 4;
+        BatchEvaluator evaluator(engine, cache, opts);
+
+        // One point per mapping under one SAF spec: every dense group
+        // has one job.
+        auto batchUnder = [&](const SafSpec &safs) {
+            std::vector<EvalPoint> points;
+            for (std::size_t m = 0; m < used; ++m) {
+                points.push_back({&sweep.workload, &sweep.mappings[m],
+                                  &safs});
+            }
+            return points;
+        };
+        auto expectMatchesEngine = [&](const std::vector<EvalPoint> &pts) {
+            std::vector<EvalResult> got = evaluator.evaluateBatch(pts);
+            ASSERT_EQ(got.size(), pts.size());
+            for (std::size_t i = 0; i < pts.size(); ++i) {
+                const EvalPoint &p = pts[i];
+                EXPECT_TRUE(bitIdentical(
+                    got[i],
+                    engine.evaluate(*p.workload, *p.mapping, *p.safs)))
+                    << "point " << i;
+            }
+        };
+        auto expectDenseEntries = [&] {
+            for (std::size_t m = 0; m < used; ++m) {
+                const Mapping &mapping = sweep.mappings[m];
+                auto dense = cache->findDense(
+                    DenseKey::of(engine, sweep.workload, mapping));
+                ASSERT_TRUE(dense) << "mapping " << m;
+                EXPECT_EQ(*dense,
+                          engine.analyzeDataflow(sweep.workload, mapping))
+                    << "mapping " << m;
+            }
+        };
+
+        // A cold batch stores dense entries that alias the `dense`
+        // member of their results instead of copying it.
+        std::vector<EvalPoint> cold = batchUnder(sweep.safs[0]);
+        expectMatchesEngine(cold);
+        std::vector<std::weak_ptr<const EvalResult>> cold_results;
+        for (const EvalPoint &p : cold) {
+            auto result = cache->findResult(
+                EvalKey::of(engine, *p.workload, *p.mapping, *p.safs));
+            ASSERT_TRUE(result);
+            EXPECT_EQ(cache->findDense(DenseKey::of(engine, *p.workload,
+                                                    *p.mapping))
+                          .get(),
+                      &result->dense);
+            cold_results.push_back(result);
+        }
+        expectDenseEntries();
+
+        // Under the other SAF specs the same mappings hit the dense
+        // level and still match the engine.
+        for (std::size_t s = 1; s < sweep.safs.size(); ++s) {
+            std::vector<EvalPoint> warm = batchUnder(sweep.safs[s]);
+            EvalCacheStats before = cache->stats();
+            expectMatchesEngine(warm);
+            EvalCacheStats after = cache->stats();
+            EXPECT_EQ(after.dense_misses, before.dense_misses);
+            EXPECT_EQ(after.dense_hits - before.dense_hits,
+                      static_cast<std::int64_t>(used));
+            EXPECT_EQ(after.dense_entries, used);
+        }
+        if (evicts) {
+            // The last insertion always survives, so at most one of
+            // the cold results is still resident. An evicted one is
+            // freed: its dense entry now holds a copy of the traffic.
+            std::size_t evicted = 0;
+            for (std::size_t i = 0; i < cold.size(); ++i) {
+                const EvalPoint &p = cold[i];
+                if (!cache->findResult(EvalKey::of(engine, *p.workload,
+                                                   *p.mapping, *p.safs))) {
+                    ++evicted;
+                    EXPECT_TRUE(cold_results[i].expired()) << "point " << i;
+                }
+            }
+            EXPECT_GE(evicted, 1u);
+        }
+        expectDenseEntries();
+    }
+}
+
 TEST(BatchEvaluator, SingleEvaluateSharesTheCache)
 {
     Architecture arch = batchArch();
@@ -257,6 +363,42 @@ TEST(BatchEvaluator, MalformedMappingComesBackInvalid)
     EXPECT_EQ(cached.dense_entries, sweep.mappings.size());
     EXPECT_FALSE(evaluator.cache().findResult(EvalKey::of(
         evaluator.engine(), sweep.workload, broken, sweep.safs[0])));
+}
+
+TEST(BatchEvaluator, MalformedSharedPrefixFailsEveryJobInItsGroup)
+{
+    // The broken mapping under several SAF specs forms one dense group
+    // whose Step 1 fails once for all of its jobs; the good group
+    // beside it still runs steps 2-3 for each of its jobs.
+    Architecture arch = batchArch();
+    Sweep sweep(arch);
+    Mapping broken(std::vector<LevelNest>{
+        LevelNest{{Loop{0, 7, false}}, {}}, LevelNest{{}, {}}});
+    std::vector<EvalPoint> points;
+    for (const SafSpec &safs : sweep.safs) {
+        points.push_back({&sweep.workload, &broken, &safs});
+        points.push_back({&sweep.workload, &sweep.mappings[0], &safs});
+    }
+    BatchEvaluatorOptions opts;
+    opts.num_threads = 4;
+    BatchEvaluator evaluator(Engine(arch), nullptr, opts);
+    BatchStats stats;
+    std::vector<EvalResult> results =
+        evaluator.evaluateBatch(points, &stats);
+    EXPECT_EQ(stats.dense_groups, 2);
+    Engine engine(arch);
+    for (std::size_t i = 0; i < points.size(); i += 2) {
+        EXPECT_FALSE(results[i].valid) << "point " << i;
+        EXPECT_FALSE(results[i].invalid_reason.empty()) << "point " << i;
+        const EvalPoint &p = points[i + 1];
+        EXPECT_TRUE(bitIdentical(
+            results[i + 1],
+            engine.evaluate(*p.workload, *p.mapping, *p.safs)))
+            << "point " << i + 1;
+    }
+    EvalCacheStats cached = evaluator.cache().stats();
+    EXPECT_EQ(cached.result_entries, sweep.safs.size());
+    EXPECT_EQ(cached.dense_entries, 1u);
 }
 
 TEST(BatchEvaluator, ThreadCountClampsToJobs)

@@ -142,6 +142,33 @@ tempPath(const std::string &name)
 TEST(CachePersistence, SaveLoadRoundTripsEveryEntry)
 {
     PopulatedService service;
+    // Single-point evaluations that miss both levels store their dense
+    // entry as an alias of the result's `dense` member, like the
+    // batch's one-point groups; the snapshot must round-trip them too.
+    {
+        const ServiceRegistry::Context *ctx =
+            service.registry->find(service.evaluated.front().first);
+        const Engine &engine = ctx->evaluator->engine();
+        EvalCache &cache = service.registry->cache();
+        MapSpace space(ctx->spec.workload, ctx->spec.arch);
+        int cold = 0;
+        for (std::uint64_t s = 100; s < 104; ++s) {
+            Mapping m = space.sampleMapping(s);
+            EvalKey key =
+                EvalKey::of(engine, ctx->spec.workload, m, ctx->spec.safs);
+            if (cache.findResult(key)) {
+                continue;  // a repeat draw: not a double miss
+            }
+            evaluateCached(engine, cache, ctx->spec.workload, m,
+                           ctx->spec.safs);
+            ++cold;
+            auto result = cache.findResult(key);
+            ASSERT_TRUE(result);
+            EXPECT_EQ(cache.findDense(key.densePrefix()).get(),
+                      &result->dense);
+        }
+        EXPECT_GT(cold, 0);
+    }
     const std::string path = tempPath("roundtrip.snap");
     SnapshotStats saved = saveSnapshot(path, service.registry->cache(),
                                        &service.registry->warmStart());
@@ -163,6 +190,7 @@ TEST(CachePersistence, SaveLoadRoundTripsEveryEntry)
     expectVerifiedSubset(loaded_cache, original);
     EXPECT_EQ(original.results.size(),
               loaded_cache.exportResults().size());
+    EXPECT_EQ(original.denses.size(), loaded_cache.exportDenses().size());
 
     // Elites restore in retention order with exact payloads.
     std::vector<WarmStartPool::Elite> want =

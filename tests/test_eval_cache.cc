@@ -234,28 +234,79 @@ TEST(EvalCacheStore, CachedEvaluationIsBitIdentical)
     Mapping m = testMapping(w, arch);
     SafSpec safs = testSafs(w);
     Engine engine(arch);
-    EvalCache cache;
+    // A one-entry cache also evicts the first result when the second
+    // is stored.
+    EvalCacheOptions one_entry;
+    one_entry.shards = 1;
+    one_entry.max_entries_per_shard = 1;
+    for (const EvalCacheOptions &copts : {EvalCacheOptions{}, one_entry}) {
+        SCOPED_TRACE("max_entries_per_shard=" +
+                     std::to_string(copts.max_entries_per_shard));
+        EvalCache cache(copts);
 
-    EvalResult uncached = engine.evaluate(w, m, safs);
-    EvalResult miss = evaluateCached(engine, cache, w, m, safs);
-    EvalResult hit = evaluateCached(engine, cache, w, m, safs);
-    EXPECT_TRUE(bitIdentical(uncached, miss));
-    EXPECT_TRUE(bitIdentical(uncached, hit));
+        EvalResult uncached = engine.evaluate(w, m, safs);
+        EvalResult miss = evaluateCached(engine, cache, w, m, safs);
+        EvalResult hit = evaluateCached(engine, cache, w, m, safs);
+        EXPECT_TRUE(bitIdentical(uncached, miss));
+        EXPECT_TRUE(bitIdentical(uncached, hit));
 
-    EvalCacheStats stats = cache.stats();
-    EXPECT_EQ(stats.result_hits, 1);
-    EXPECT_EQ(stats.result_misses, 1);
+        EvalCacheStats stats = cache.stats();
+        EXPECT_EQ(stats.result_hits, 1);
+        EXPECT_EQ(stats.result_misses, 1);
+        // The double miss stored a dense entry aliasing the result.
+        std::weak_ptr<const EvalResult> first =
+            cache.findResult(EvalKey::of(engine, w, m, safs));
+        ASSERT_FALSE(first.expired());
 
-    // A dense-level hit with a fresh SAF spec: result misses, Step 1
-    // is served from the cache.
-    SafSpec gate = safs;
-    gate.intersections[0].kind = SafKind::Gate;
-    EvalResult other = evaluateCached(engine, cache, w, m, gate);
-    EXPECT_TRUE(bitIdentical(other, engine.evaluate(w, m, gate)));
-    stats = cache.stats();
-    EXPECT_EQ(stats.result_misses, 2);
-    EXPECT_EQ(stats.dense_hits, 1);
-    EXPECT_EQ(stats.dense_misses, 1);
+        // A dense-level hit with a fresh SAF spec: result misses,
+        // Step 1 is served from the cache.
+        SafSpec gate = safs;
+        gate.intersections[0].kind = SafKind::Gate;
+        EvalResult other = evaluateCached(engine, cache, w, m, gate);
+        EXPECT_TRUE(bitIdentical(other, engine.evaluate(w, m, gate)));
+        stats = cache.stats();
+        EXPECT_EQ(stats.result_misses, 2);
+        EXPECT_EQ(stats.dense_hits, 1);
+        EXPECT_EQ(stats.dense_misses, 1);
+
+        auto dense = cache.findDense(DenseKey::of(engine, w, m));
+        ASSERT_TRUE(dense);
+        EXPECT_EQ(*dense, engine.analyzeDataflow(w, m));
+        if (copts.max_entries_per_shard == 1) {
+            // Evicting the first result gave the dense entry its own
+            // copy, so nothing pins the evicted result.
+            EXPECT_TRUE(first.expired());
+        } else {
+            EXPECT_EQ(dense.get(), &first.lock()->dense);
+        }
+
+        // A concurrent cold evaluation that lost the result race: its
+        // aliasing dense entry went in, but its result was kept out
+        // by the resident one. The dense entry must then own its
+        // traffic, through either store path.
+        const EvalKey key = EvalKey::of(engine, w, m, safs);
+        const DenseKey dense_key = DenseKey::of(engine, w, m);
+        for (bool bulk : {false, true}) {
+            SCOPED_TRACE(bulk ? "storeResults" : "storeResult");
+            EvalCache raced(copts);
+            raced.storeResult(key,
+                              std::make_shared<const EvalResult>(uncached));
+            auto loser = std::make_shared<const EvalResult>(
+                engine.evaluate(w, m, safs));
+            raced.storeDense(dense_key, std::shared_ptr<const DenseTraffic>(
+                                            loser, &loser->dense));
+            std::weak_ptr<const EvalResult> lost = loser;
+            if (bulk) {
+                raced.storeResults({{key, key.hash(), std::move(loser)}});
+            } else {
+                raced.storeResult(key, std::move(loser));
+            }
+            EXPECT_TRUE(lost.expired());
+            auto owned = raced.findDense(dense_key);
+            ASSERT_TRUE(owned);
+            EXPECT_EQ(*owned, engine.analyzeDataflow(w, m));
+        }
+    }
 }
 
 TEST(EvalCacheStore, BitIdenticalDetectsDivergence)

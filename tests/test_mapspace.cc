@@ -9,6 +9,8 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <random>
 #include <set>
 
 #include "common/logging.hh"
@@ -192,14 +194,97 @@ TEST(MapSpace, CrossoverStaysInSpaceAndIsDeterministic)
     std::mt19937_64 r1(123), r2(123);
     EXPECT_EQ(space.materialize(space.crossover(a, b, r1)),
               space.materialize(space.crossover(a, b, r2)));
+}
 
-    // randomNeighbor draws an entry of neighbors() deterministically.
-    std::mt19937_64 r3(5), r4(5);
-    auto n1 = space.randomNeighbor(a, r3);
-    auto n2 = space.randomNeighbor(a, r4);
-    ASSERT_TRUE(n1.has_value());
-    ASSERT_TRUE(n2.has_value());
-    EXPECT_EQ(space.materialize(*n1), space.materialize(*n2));
+bool
+samePoint(const MapSpace::Point &a, const MapSpace::Point &b)
+{
+    return a.tiling == b.tiling && a.order == b.order &&
+           a.spatial == b.spatial && a.keep == b.keep;
+}
+
+TEST(MapSpace, RandomNeighborDrawsTheEnumeratedEntry)
+{
+    // randomNeighbor builds one move; it must return exactly the entry
+    // a uniform draw over neighbors() picks at the same generator
+    // state, and consume the generator identically.
+    Workload mm = makeMatmul(16, 16, 16);
+    Architecture two = searchArch();
+    MapSpaceOptions no_bypass;
+    no_bypass.explore_bypass = false;
+    MapspaceConstraints fixed_order;
+    fixed_order.levels.resize(2);
+    fixed_order.levels[1].loop_order = {mm.dimIndex("M"),
+                                        mm.dimIndex("K")};
+
+    ConvLayerShape shape;
+    shape.name = "small";
+    shape.k = 8;
+    shape.c = 4;
+    shape.p = 4;
+    shape.q = 4;
+    shape.r = 3;
+    shape.s = 3;
+    Workload conv = makeConv(shape);
+    StorageLevelSpec dram;
+    dram.name = "DRAM";
+    dram.storage_class = StorageClass::DRAM;
+    dram.bandwidth_words_per_cycle = 16.0;
+    dram.fanout = 4;
+    StorageLevelSpec l1;
+    l1.name = "L1";
+    l1.capacity_words = 4096;
+    l1.bandwidth_words_per_cycle = 8.0;
+    l1.fanout = 8;
+    StorageLevelSpec l0;
+    l0.name = "L0";
+    l0.capacity_words = 256;
+    l0.bandwidth_words_per_cycle = 4.0;
+    Architecture three("three", {dram, l1, l0}, ComputeSpec{});
+
+    // Unconstrained; a fixed loop order at one level; spatial fanout
+    // at two levels with several keep masks at each inner level.
+    const MapSpace spaces[] = {MapSpace(mm, two, {}, no_bypass),
+                               MapSpace(mm, two, fixed_order),
+                               MapSpace(conv, three)};
+    int checked = 0;
+    for (const MapSpace &space : spaces) {
+        ASSERT_TRUE(space.pointEncodable());
+        std::mt19937_64 rng(2024);
+        for (std::uint64_t seed = 0; seed < 10; ++seed) {
+            // A short walk from each sampled point reaches points the
+            // sampler alone does not (reconciled tilings, swapped
+            // orders, alternative spatial and keep picks).
+            MapSpace::Point p = space.samplePoint(seed);
+            for (int step = 0; step < 8; ++step, ++checked) {
+                std::vector<MapSpace::Point> all = space.neighbors(p);
+                ASSERT_FALSE(all.empty());
+                std::mt19937_64 r2 = rng;
+                std::uniform_int_distribution<std::size_t> pick(
+                    0, all.size() - 1);
+                const MapSpace::Point &want = all[pick(r2)];
+                std::optional<MapSpace::Point> got =
+                    space.randomNeighbor(p, rng);
+                ASSERT_TRUE(got.has_value());
+                EXPECT_TRUE(samePoint(*got, want))
+                    << "seed " << seed << " step " << step;
+                EXPECT_TRUE(rng == r2) << "seed " << seed;
+                p = *std::move(got);
+            }
+        }
+    }
+    EXPECT_GE(checked, 200);
+
+    // An isolated point (every bound 1, one keep mask): nullopt, and
+    // no draw is consumed.
+    Workload unit = makeMatmul(1, 1, 1);
+    MapSpace lone(unit, two, {}, no_bypass);
+    MapSpace::Point only = lone.samplePoint(0);
+    ASSERT_TRUE(lone.neighbors(only).empty());
+    std::mt19937_64 r3(5);
+    const std::mt19937_64 before = r3;
+    EXPECT_FALSE(lone.randomNeighbor(only, r3).has_value());
+    EXPECT_TRUE(r3 == before);
 }
 
 TEST(MapSpace, EmptySpaceIsDetectedAndSurfaced)
