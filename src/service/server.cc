@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <iterator>
 
 #include "common/logging.hh"
 
@@ -148,14 +149,33 @@ ServiceServer::acceptLoop()
         }
         int one = 1;
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        std::lock_guard<std::mutex> lock(conn_mutex_);
-        if (!running_.load()) {
-            ::close(fd);
-            return;
+        // Reap the connection threads that finished since the last
+        // accept: an exited but unjoined thread keeps its stack mapped.
+        std::vector<std::thread> finished;
+        {
+            std::lock_guard<std::mutex> lock(conn_mutex_);
+            if (!running_.load()) {
+                ::close(fd);
+                return;
+            }
+            auto done = std::partition(
+                conn_threads_.begin(), conn_threads_.end(),
+                [this](const std::thread &t) {
+                    return std::find(finished_conns_.begin(),
+                                     finished_conns_.end(),
+                                     t.get_id()) == finished_conns_.end();
+                });
+            finished.assign(std::make_move_iterator(done),
+                            std::make_move_iterator(conn_threads_.end()));
+            conn_threads_.erase(done, conn_threads_.end());
+            finished_conns_.clear();
+            conn_fds_.push_back(fd);
+            conn_threads_.emplace_back(
+                [this, fd] { connectionLoop(fd); });
         }
-        conn_fds_.push_back(fd);
-        conn_threads_.emplace_back(
-            [this, fd] { connectionLoop(fd); });
+        for (std::thread &t : finished) {
+            t.join();
+        }
     }
 }
 
@@ -218,6 +238,7 @@ ServiceServer::connectionLoop(int fd)
         std::lock_guard<std::mutex> lock(conn_mutex_);
         conn_fds_.erase(std::remove(conn_fds_.begin(), conn_fds_.end(), fd),
                         conn_fds_.end());
+        finished_conns_.push_back(std::this_thread::get_id());
     }
     ::close(fd);
 }
@@ -290,6 +311,11 @@ ServiceServer::stop()
         if (t.joinable()) {
             t.join();
         }
+    }
+    {
+        // Every connection thread is joined, so no more can finish.
+        std::lock_guard<std::mutex> lock(conn_mutex_);
+        finished_conns_.clear();
     }
     listen_fd_ = -1;
     if (!options_.snapshot_path.empty()) {

@@ -123,6 +123,9 @@ class ServiceServer
     /** Live connection fds (for shutdown(2) on stop). */
     std::vector<int> conn_fds_;
     std::vector<std::thread> conn_threads_;
+    /** Connection threads that have exited and await a join (reaped
+     *  by the accept loop; see acceptLoop). */
+    std::vector<std::thread::id> finished_conns_;
 
     std::mutex shutdown_mutex_;
     std::condition_variable shutdown_cv_;

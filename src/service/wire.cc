@@ -9,7 +9,8 @@
 
 #include "service/wire.hh"
 
-#include <cstring>
+#include <algorithm>
+#include <utility>
 
 namespace sparseloop {
 
@@ -18,50 +19,28 @@ namespace sparseloop {
 // ---------------------------------------------------------------------------
 
 void
-WireWriter::u16(std::uint16_t v)
+WireWriter::grow(std::size_t n)
 {
-    buf_.push_back(static_cast<std::uint8_t>(v));
-    buf_.push_back(static_cast<std::uint8_t>(v >> 8));
+    // Doubling keeps the zero-fill of each new reserve at amortized
+    // O(1) per byte written; growing by exactly n would zero-fill
+    // on every append.
+    constexpr std::size_t kMinReserve = 64;
+    buf_.resize(std::max({len_ + n, 2 * buf_.size(), kMinReserve}));
 }
 
-void
-WireWriter::u32(std::uint32_t v)
+const std::vector<std::uint8_t> &
+WireWriter::buffer()
 {
-    for (int i = 0; i < 4; ++i) {
-        buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
+    buf_.resize(len_);
+    return buf_;
 }
 
-void
-WireWriter::u64(std::uint64_t v)
+std::vector<std::uint8_t>
+WireWriter::take()
 {
-    for (int i = 0; i < 8; ++i) {
-        buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-}
-
-void
-WireWriter::f64(double v)
-{
-    static_assert(sizeof(double) == sizeof(std::uint64_t),
-                  "IEEE-754 binary64 expected");
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-}
-
-void
-WireWriter::str(const std::string &v)
-{
-    u32(static_cast<std::uint32_t>(v.size()));
-    bytes(v.data(), v.size());
-}
-
-void
-WireWriter::bytes(const void *data, std::size_t n)
-{
-    const auto *p = static_cast<const std::uint8_t *>(data);
-    buf_.insert(buf_.end(), p, p + n);
+    buf_.resize(len_);
+    len_ = 0;
+    return std::exchange(buf_, {});
 }
 
 // ---------------------------------------------------------------------------
@@ -69,82 +48,18 @@ WireWriter::bytes(const void *data, std::size_t n)
 // ---------------------------------------------------------------------------
 
 void
-WireReader::need(std::size_t n) const
+WireReader::truncated(std::size_t n) const
 {
-    if (size_ - pos_ < n) {
-        throw WireError("truncated payload: need " + std::to_string(n) +
-                        " bytes at offset " + std::to_string(pos_) +
-                        " of " + std::to_string(size_));
-    }
-}
-
-std::uint8_t
-WireReader::u8()
-{
-    need(1);
-    return data_[pos_++];
-}
-
-std::uint16_t
-WireReader::u16()
-{
-    need(2);
-    std::uint16_t v = static_cast<std::uint16_t>(
-        data_[pos_] | (static_cast<std::uint16_t>(data_[pos_ + 1]) << 8));
-    pos_ += 2;
-    return v;
-}
-
-std::uint32_t
-WireReader::u32()
-{
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-        v |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-}
-
-std::uint64_t
-WireReader::u64()
-{
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-        v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-}
-
-double
-WireReader::f64()
-{
-    std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
+    throw WireError("truncated payload: need " + std::to_string(n) +
+                    " bytes at offset " + std::to_string(pos_) + " of " +
+                    std::to_string(size_));
 }
 
 std::string
 WireReader::str()
 {
     std::size_t n = count(1);
-    need(n);
-    std::string s(reinterpret_cast<const char *>(data_ + pos_), n);
-    pos_ += n;
-    return s;
-}
-
-const std::uint8_t *
-WireReader::skip(std::size_t n)
-{
-    need(n);
-    const std::uint8_t *p = data_ + pos_;
-    pos_ += n;
-    return p;
+    return std::string(reinterpret_cast<const char *>(skip(n)), n);
 }
 
 std::size_t

@@ -9,9 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+#include <fstream>
 #include <random>
 
 #include "model/engine.hh"
+#include "service/persistence.hh"
 #include "service/protocol.hh"
 
 namespace sparseloop {
@@ -213,7 +217,11 @@ encoded(const T &value)
 {
     WireWriter w;
     encode(w, value);
-    return w.take();
+    std::size_t written = w.size();
+    std::vector<std::uint8_t> bytes = w.take();
+    EXPECT_EQ(written, bytes.size());
+    EXPECT_EQ(0u, w.size());
+    return bytes;
 }
 
 /** Every strict prefix of a valid payload must throw WireError —
@@ -281,6 +289,20 @@ TEST(ServiceWire, KeysRoundTripExactly)
         WireReader dr(db);
         EXPECT_EQ(dk, decodeDenseKey(dr));
         EXPECT_TRUE(dr.done());
+
+        // Both keys through one writer, read back through buffer()
+        // in between, as the snapshot writer uses it.
+        WireWriter w;
+        encode(w, ek);
+        EXPECT_EQ(eb, w.buffer());
+        encode(w, dk);
+        std::vector<std::uint8_t> both = eb;
+        both.insert(both.end(), db.begin(), db.end());
+        EXPECT_EQ(both, w.buffer());
+        WireReader br(w.buffer());
+        EXPECT_EQ(ek, decodeEvalKey(br));
+        EXPECT_EQ(dk, decodeDenseKey(br));
+        EXPECT_TRUE(br.done());
     }
 }
 
@@ -289,6 +311,11 @@ TEST(ServiceWire, EvalResultRoundTripsBitIdentically)
     Rng rng(0xCAFE);
     for (int i = 0; i < 100; ++i) {
         EvalResult result = randomEvalResult(rng);
+        // Strings on both sides of the small-string buffer.
+        if (i < 4) {
+            static constexpr std::size_t kLengths[] = {0, 15, 16, 300};
+            result.invalid_reason.assign(kLengths[i], 'r');
+        }
         std::vector<std::uint8_t> bytes = encoded(result);
         WireReader r(bytes);
         EvalResult back = decodeEvalResult(r);
@@ -420,16 +447,19 @@ TEST(ServiceWire, TrailingBytesDetected)
 
 TEST(ServiceProtocol, FrameRoundTrips)
 {
-    std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5};
-    std::vector<std::uint8_t> frame =
-        encodeFrame(FrameType::kEvaluateBatch, payload);
-    ASSERT_EQ(kFrameHeaderBytes + payload.size(), frame.size());
+    // An empty payload (a writer that wrote nothing) and a short one.
+    for (const std::vector<std::uint8_t> &payload :
+         {WireWriter().take(), std::vector<std::uint8_t>{1, 2, 3, 4, 5}}) {
+        std::vector<std::uint8_t> frame =
+            encodeFrame(FrameType::kEvaluateBatch, payload);
+        ASSERT_EQ(kFrameHeaderBytes + payload.size(), frame.size());
 
-    FrameHeader h = decodeFrameHeader(frame.data());
-    EXPECT_EQ(FrameType::kEvaluateBatch, h.type);
-    EXPECT_EQ(payload.size(), h.payload_size);
-    EXPECT_TRUE(std::equal(payload.begin(), payload.end(),
-                           frame.begin() + kFrameHeaderBytes));
+        FrameHeader h = decodeFrameHeader(frame.data());
+        EXPECT_EQ(FrameType::kEvaluateBatch, h.type);
+        EXPECT_EQ(payload.size(), h.payload_size);
+        EXPECT_TRUE(std::equal(payload.begin(), payload.end(),
+                               frame.begin() + kFrameHeaderBytes));
+    }
 }
 
 TEST(ServiceProtocol, BadMagicRejected)
@@ -474,19 +504,29 @@ TEST(ServiceProtocol, MaxPayloadLengthAccepted)
 
 TEST(ServiceProtocol, EvaluateBatchRequestRoundTrips)
 {
+    // Context names of 0, 15, 16 and 40 bytes; 500 mappings take the
+    // payload through several growth steps of the writer.
     Rng rng(0x90);
-    EvaluateBatchRequest req;
-    req.context = "bitmask";
-    for (int i = 0; i < 5; ++i) {
-        req.mappings.push_back(randomMapping(rng));
-    }
-    std::vector<std::uint8_t> bytes = req.encodePayload();
-    WireReader r(bytes);
-    EvaluateBatchRequest back = EvaluateBatchRequest::decodePayload(r);
-    EXPECT_EQ(req.context, back.context);
-    ASSERT_EQ(req.mappings.size(), back.mappings.size());
-    for (std::size_t i = 0; i < req.mappings.size(); ++i) {
-        EXPECT_EQ(req.mappings[i], back.mappings[i]);
+    const std::pair<std::string, int> cases[] = {
+        {"", 0},
+        {"bitmask-context", 5},
+        {"coord-list-ctx16", 500},
+        {std::string(40, 'c'), 5},
+    };
+    for (const auto &[context, count] : cases) {
+        EvaluateBatchRequest req;
+        req.context = context;
+        for (int i = 0; i < count; ++i) {
+            req.mappings.push_back(randomMapping(rng));
+        }
+        std::vector<std::uint8_t> bytes = req.encodePayload();
+        WireReader r(bytes);
+        EvaluateBatchRequest back = EvaluateBatchRequest::decodePayload(r);
+        EXPECT_EQ(req.context, back.context);
+        ASSERT_EQ(req.mappings.size(), back.mappings.size());
+        for (std::size_t i = 0; i < req.mappings.size(); ++i) {
+            EXPECT_EQ(req.mappings[i], back.mappings[i]);
+        }
     }
 }
 
@@ -581,6 +621,257 @@ TEST(ServiceProtocol, PayloadsRejectTrailingGarbage)
     bytes.push_back(0xAB);
     WireReader r(bytes);
     EXPECT_THROW(SearchRequest::decodePayload(r), WireError);
+}
+
+// ---------------------------------------------------------------------------
+// Golden bytes
+// ---------------------------------------------------------------------------
+//
+// Every test above is a round trip, so an encoder and decoder that
+// changed the format together would pass them all while breaking every
+// stored snapshot and every deployed peer. These tests pin the bytes:
+// the size and FNV-1a digest of five fixed encodings. Their inputs
+// draw only raw mt19937_64 outputs (a sequence the standard fixes),
+// never a std::*_distribution (whose output each standard library
+// defines for itself), so the digests hold on every toolchain. A
+// digest that must change is a format change: bump kProtocolVersion
+// or kSnapshotVersion with it.
+
+std::uint64_t
+fnv1a(const std::vector<std::uint8_t> &bytes)
+{
+    std::uint64_t h = 0xCBF29CE484222325ull;
+    for (std::uint8_t b : bytes) {
+        h ^= b;
+        h *= 0x00000100000001B3ull;
+    }
+    return h;
+}
+
+void
+expectGolden(const std::vector<std::uint8_t> &bytes, std::size_t size,
+             std::uint64_t digest)
+{
+    EXPECT_EQ(size, bytes.size());
+    EXPECT_EQ(digest, fnv1a(bytes)) << std::hex << "0x" << fnv1a(bytes);
+}
+
+/** Fixed, seeded values for the golden encodings. */
+class GoldenInputs
+{
+  public:
+    explicit GoldenInputs(std::uint64_t seed) : rng_(seed) {}
+
+    std::uint64_t below(std::uint64_t n) { return rng_() % n; }
+
+    /** Any bit pattern: NaNs, infinities and denormals included. */
+    double anyDouble()
+    {
+        std::uint64_t bits = rng_();
+        double v;
+        std::memcpy(&v, &bits, sizeof(v));
+        return v;
+    }
+
+    /** Lengths on both sides of the small-string buffer. */
+    std::string text()
+    {
+        static constexpr std::size_t kLengths[] = {0, 15, 16, 40};
+        std::string s(kLengths[below(4)], '\0');
+        for (char &c : s) {
+            c = static_cast<char>(rng_() & 0xFF);
+        }
+        return s;
+    }
+
+    Mapping mapping()
+    {
+        std::vector<LevelNest> levels(1 + below(4));
+        for (LevelNest &nest : levels) {
+            nest.loops.resize(below(6));
+            for (Loop &loop : nest.loops) {
+                loop.dim = static_cast<int>(below(7));
+                loop.bound = static_cast<std::int64_t>(1 + below(1 << 20));
+                loop.spatial = below(2) == 1;
+            }
+            if (below(2) == 1) {
+                nest.keep = {below(2) == 1, below(2) == 1, below(2) == 1};
+            }
+        }
+        return Mapping(std::move(levels));
+    }
+
+    ActionBreakdown breakdown()
+    {
+        ActionBreakdown a;
+        a.actual = anyDouble();
+        a.gated = anyDouble();
+        a.skipped = anyDouble();
+        return a;
+    }
+
+    std::vector<std::int64_t> instances()
+    {
+        std::vector<std::int64_t> v(1 + below(3));
+        for (std::int64_t &x : v) {
+            x = static_cast<std::int64_t>(rng_());
+        }
+        return v;
+    }
+
+    DenseTraffic dense()
+    {
+        DenseTraffic d;
+        d.levels.assign(1 + below(3), 1 + below(3));
+        for (TensorLevelDense &t : d.levels.flat()) {
+            t.kept = below(2) == 1;
+            t.footprint = anyDouble();
+            t.tile_extents.resize(below(5));
+            for (std::int64_t &e : t.tile_extents) {
+                e = static_cast<std::int64_t>(1 + below(1 << 16));
+            }
+            t.fills = anyDouble();
+            t.reads = anyDouble();
+            t.updates = anyDouble();
+            t.acc_reads = anyDouble();
+            t.drains = anyDouble();
+        }
+        d.computes = anyDouble();
+        d.instances = instances();
+        d.compute_instances = static_cast<std::int64_t>(rng_());
+        return d;
+    }
+
+    SparseTraffic sparse()
+    {
+        SparseTraffic s;
+        s.levels.assign(1 + below(3), 1 + below(3));
+        for (TensorLevelSparse &t : s.levels.flat()) {
+            t.reads = breakdown();
+            t.fills = breakdown();
+            t.updates = breakdown();
+            t.acc_reads = breakdown();
+            t.drains = breakdown();
+            t.meta_reads = anyDouble();
+            t.meta_fills = anyDouble();
+            t.meta_updates = anyDouble();
+            t.tile_data_words = anyDouble();
+            t.tile_metadata_words = anyDouble();
+            t.tile_worst_words = anyDouble();
+            t.tile_dense_words = anyDouble();
+        }
+        s.computes = breakdown();
+        s.effectual_computes = anyDouble();
+        s.instances = instances();
+        s.compute_instances = static_cast<std::int64_t>(rng_());
+        return s;
+    }
+
+    EvalResult result()
+    {
+        EvalResult r;
+        r.valid = below(2) == 1;
+        r.invalid_reason = text();
+        r.cycles = anyDouble();
+        r.energy_pj = anyDouble();
+        r.computes = breakdown();
+        r.effectual_computes = anyDouble();
+        r.compute_energy_pj = anyDouble();
+        r.compute_cycles = anyDouble();
+        r.compute_instances = static_cast<std::int64_t>(rng_());
+        r.levels.resize(below(4));
+        for (LevelResult &level : r.levels) {
+            level.name = text();
+            level.cycles = anyDouble();
+            level.energy_pj = anyDouble();
+            level.occupied_words = anyDouble();
+            level.worst_case_words = anyDouble();
+            level.bandwidth_demand = anyDouble();
+        }
+        r.dense = dense();
+        r.sparse = sparse();
+        return r;
+    }
+
+    EvalKey evalKey() { return {rng_(), rng_(), rng_(), rng_()}; }
+    DenseKey denseKey() { return {rng_(), rng_(), rng_()}; }
+
+    /** Finite, so the warm-start pool can rank it. */
+    double finite() { return static_cast<double>(rng_() >> 11); }
+
+  private:
+    Rng rng_;
+};
+
+TEST(ServiceWireGolden, EvalResultBytes)
+{
+    GoldenInputs in(0x601D1);
+    expectGolden(encoded(in.result()), 923, 0xc8a0d67f9b6f91f0ull);
+}
+
+TEST(ServiceWireGolden, MappingBytes)
+{
+    GoldenInputs in(0x601D2);
+    expectGolden(encoded(in.mapping()), 120, 0x42afe45466f7a890ull);
+}
+
+TEST(ServiceWireGolden, EvaluateBatchReplyFrameBytes)
+{
+    GoldenInputs in(0x601D3);
+    EvaluateBatchReply reply;
+    for (int i = 0; i < 64; ++i) {
+        reply.results.push_back(in.result());
+    }
+    reply.points = 64;
+    reply.unique_points = 48;
+    reply.dense_groups = 40;
+    expectGolden(encodeFrame(FrameType::kEvalResults, reply.encodePayload()),
+                 80987, 0xec2ed868b1fa9a20ull);
+}
+
+TEST(ServiceWireGolden, SearchReplyFrameBytes)
+{
+    GoldenInputs in(0x601D4);
+    SearchReply reply;
+    reply.found = true;
+    reply.status = 1;
+    reply.mapping = in.mapping();
+    reply.eval = in.result();
+    reply.candidates_evaluated = 2000;
+    reply.candidates_valid = 1876;
+    reply.warm_start_candidates = 4;
+    reply.strategy = "annealing";
+    expectGolden(encodeFrame(FrameType::kSearchResult, reply.encodePayload()),
+                 1309, 0xc8188c29b2213299ull);
+}
+
+TEST(ServiceWireGolden, SnapshotFileBytes)
+{
+    // One entry per cache level and two elites: with a single entry
+    // per level, the file's record order does not depend on hash-map
+    // iteration order.
+    GoldenInputs in(0x601D5);
+    EvalCache cache;
+    cache.storeResult(in.evalKey(),
+                      std::make_shared<const EvalResult>(in.result()));
+    cache.storeDense(in.denseKey(),
+                     std::make_shared<const DenseTraffic>(in.dense()));
+    WarmStartPool pool;
+    for (int i = 0; i < 2; ++i) {
+        MetricVector metrics;
+        for (double &v : metrics.values) {
+            v = in.finite();
+        }
+        pool.record(in.mapping(), metrics, in.finite());
+    }
+    const std::string path = testing::TempDir() + "/golden.snap";
+    saveSnapshot(path, cache, &pool);
+    std::ifstream file(path, std::ios::binary);
+    std::vector<std::uint8_t> bytes(
+        (std::istreambuf_iterator<char>(file)),
+        std::istreambuf_iterator<char>());
+    std::remove(path.c_str());
+    expectGolden(bytes, 2085, 0x14709a2f2cf4a7beull);
 }
 
 } // namespace

@@ -9,12 +9,18 @@
  *  - concurrent clients get deterministic (run-to-run identical)
  *    answers — this suite runs under TSan in CI,
  *  - a killed-and-restarted daemon resumes from its snapshot with a
- *    nonzero cache hit rate.
+ *    nonzero cache hit rate,
+ *  - finished connection threads are joined while the daemon runs, so
+ *    hundreds of connections leave its threads and mappings bounded.
  */
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <thread>
 
 #include "mapper/mapspace.hh"
@@ -65,6 +71,47 @@ directEvaluate(const ServiceRegistry &registry, const std::string &name,
     }
     return ctx->evaluator->evaluateMappings(ctx->spec.workload, ptrs,
                                             ctx->spec.safs, nullptr);
+}
+
+/** Live threads of this process (entries of /proc/self/task). */
+std::size_t
+liveThreads()
+{
+    std::size_t n = 0;
+    for (auto it = std::filesystem::directory_iterator("/proc/self/task");
+         it != std::filesystem::directory_iterator(); ++it) {
+        ++n;
+    }
+    return n;
+}
+
+/** Mapped virtual memory of this process in bytes (VmSize). */
+std::size_t
+mappedBytes()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("VmSize:", 0) == 0) {
+            return std::stoul(line.substr(7)) * 1024;  // kB
+        }
+    }
+    ADD_FAILURE() << "no VmSize in /proc/self/status";
+    return 0;
+}
+
+/** Stack size of a default std::thread. */
+std::size_t
+threadStackBytes()
+{
+    std::size_t bytes = 0;
+    std::thread([&bytes] {
+        pthread_attr_t attr;
+        ASSERT_EQ(0, pthread_getattr_np(pthread_self(), &attr));
+        EXPECT_EQ(0, pthread_attr_getstacksize(&attr, &bytes));
+        pthread_attr_destroy(&attr);
+    }).join();
+    return bytes;
 }
 
 class ServiceServerTest : public testing::Test
@@ -234,6 +281,31 @@ TEST_F(ServiceServerTest, ConcurrentClientsAreDeterministic)
                 << "client " << c << " mapping " << i;
         }
     }
+}
+
+TEST_F(ServiceServerTest, FinishedConnectionThreadsAreReaped)
+{
+    // Each cycle's connection thread exits when its client hangs up,
+    // and the kernel then drops it from /proc/self/task whether or not
+    // it was joined. An unjoined thread still keeps its stack mapped,
+    // so a leak shows in the mapped size: kCycles stacks.
+    constexpr int kCycles = 300;
+    auto cycle = [&] {
+        ServiceClient client = connectClient();
+        client.ping();
+    };
+    for (int i = 0; i < 10; ++i) {
+        cycle();  // warm the allocator's stack cache and arenas
+    }
+    const std::size_t stack = threadStackBytes();
+    const std::size_t threads = liveThreads();
+    const std::size_t mapped = mappedBytes();
+    for (int i = 0; i < kCycles; ++i) {
+        cycle();
+    }
+    // The last connection's thread may not have exited yet.
+    EXPECT_LE(liveThreads(), threads + 2);
+    EXPECT_LT(mappedBytes(), mapped + kCycles / 4 * stack);
 }
 
 TEST_F(ServiceServerTest, UnknownContextComesBackAsServiceError)
