@@ -3,7 +3,10 @@
 # binaries, benches, examples), run the full CTest suite, smoke-run
 # the search-strategy, pareto-front, and mapspace-pruning ablations,
 # run the evaluation-daemon smoke (serve over TCP, snapshot, restart,
-# assert warm cache hits), check intra-repo markdown links, and —
+# assert warm cache hits), run the end-to-end benchmark's self-tests
+# (dsebench/tests/test_dsebench.py, as the CI dsebench job does: its
+# daemon-loopback replies must match in-process results bit for bit),
+# check intra-repo markdown links, and —
 # when doxygen is installed — run the API-docs check (warnings in
 # src/model, src/mapper, and src/common are errors, mirroring the CI
 # docs job). A second explicit Release (-O2/NDEBUG) build-and-ctest
@@ -35,6 +38,9 @@ echo "== mapspace pruning ablation smoke (per-pass sizes, losslessness) =="
 
 echo "== daemon smoke (serve, evaluate, snapshot, restart, warm hits) =="
 "${repo_root}/scripts/daemon_smoke.sh" "${build_dir}"
+
+echo "== end-to-end benchmark self-tests (daemon bit-identity, checks) =="
+(cd "${repo_root}" && python3 dsebench/tests/test_dsebench.py)
 
 if [[ "${SPARSELOOP_SKIP_RELEASE:-0}" != "1" ]]; then
     echo "== Release (-O2/NDEBUG) build-and-ctest =="

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 #include "common/logging.hh"
@@ -270,28 +269,6 @@ relativeError(double a, double b, double eps)
     return std::abs(a - b) / denom;
 }
 
-namespace {
-
-/** splitmix64 finalizer: avalanche the combined state. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-} // namespace
-
-std::uint64_t
-hashCombine(std::uint64_t h, std::uint64_t value)
-{
-    // FNV-1a over the mixed value's bytes, one xor-multiply per word.
-    constexpr std::uint64_t kPrime = 1099511628211ull;
-    return (h ^ mix64(value)) * kPrime;
-}
-
 std::uint64_t
 hashString(std::uint64_t h, const std::string &s)
 {
@@ -301,15 +278,6 @@ hashString(std::uint64_t h, const std::string &s)
         h = (h ^ c) * kPrime;
     }
     return h;
-}
-
-std::uint64_t
-hashDouble(std::uint64_t h, double value)
-{
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(value), "double width");
-    std::memcpy(&bits, &value, sizeof(bits));
-    return hashCombine(h, bits);
 }
 
 } // namespace math

@@ -10,6 +10,7 @@
 #define SPARSELOOP_COMMON_MATHUTIL_HH
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -122,14 +123,38 @@ double relativeError(double a, double b, double eps = 1e-12);
 /** Seed for incremental hashing chains (FNV-1a offset basis). */
 constexpr std::uint64_t kHashSeed = 1469598103934665603ull;
 
-/** Mix a 64-bit value into a running hash. */
-std::uint64_t hashCombine(std::uint64_t h, std::uint64_t value);
+/** splitmix64 finalizer: avalanche a 64-bit value. */
+inline std::uint64_t
+mix64(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
+/** Mix a 64-bit value into a running hash. Inline: the cache keys
+ *  call it tens of times per evaluation. */
+inline std::uint64_t
+hashCombine(std::uint64_t h, std::uint64_t value)
+{
+    // FNV-1a over the mixed value's bytes, one xor-multiply per word.
+    constexpr std::uint64_t kPrime = 1099511628211ull;
+    return (h ^ mix64(value)) * kPrime;
+}
 
 /** Mix a string (length-prefixed bytes) into a running hash. */
 std::uint64_t hashString(std::uint64_t h, const std::string &s);
 
 /** Mix a double (by bit pattern) into a running hash. */
-std::uint64_t hashDouble(std::uint64_t h, double value);
+inline std::uint64_t
+hashDouble(std::uint64_t h, double value)
+{
+    std::uint64_t bits = 0;
+    static_assert(sizeof(bits) == sizeof(value), "double width");
+    std::memcpy(&bits, &value, sizeof(bits));
+    return hashCombine(h, bits);
+}
 
 /// @}
 

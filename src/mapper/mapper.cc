@@ -1,8 +1,8 @@
 /**
  * @file
  * Mapspace-search driver: pulls candidate batches from a
- * `SearchStrategy`, evaluates them through `BatchEvaluator`, and
- * reduces deterministically to the best valid mapping.
+ * `SearchStrategy`, evaluates them through `BatchEvaluator`'s shared
+ * results, and reduces deterministically to the best valid mapping.
  */
 
 #include "mapper/mapper.hh"
@@ -101,6 +101,10 @@ Mapper::searchWithThreads(int num_threads) const
                           options_.pareto_capacity);
     MetricVector best_metrics;
     std::int64_t best_index = -1;
+    // The incumbent's result is shared with the batch (and the cache)
+    // and copied out once, after the search.
+    std::shared_ptr<const EvalResult> best_eval;
+    std::vector<EvalPoint> points;
 
     while (result.candidates_evaluated < budget) {
         const int want = static_cast<int>(std::min<std::int64_t>(
@@ -110,22 +114,21 @@ Mapper::searchWithThreads(int num_threads) const
             break;  // strategy exhausted (e.g. full exhaustive pass)
         }
 
-        std::vector<const Mapping *> mappings;
-        mappings.reserve(batch.size());
+        points.clear();
         for (const SearchCandidate &c : batch) {
-            mappings.push_back(&c.mapping);
+            points.push_back({&workload_, &c.mapping, &safs_});
         }
-        std::vector<EvalResult> evals =
-            evaluator.evaluateMappings(workload_, mappings, safs_);
+        std::vector<std::shared_ptr<const EvalResult>> evals =
+            evaluator.evaluateShared(points);
 
         std::vector<double> objectives(batch.size(), kInf);
         for (std::size_t i = 0; i < batch.size(); ++i) {
             ++result.candidates_evaluated;
-            if (!evals[i].valid) {
+            if (!evals[i]->valid) {
                 continue;
             }
             ++result.candidates_valid;
-            const MetricVector metrics = MetricVector::of(evals[i]);
+            const MetricVector metrics = MetricVector::of(*evals[i]);
             objectives[i] = spec.scalarize(metrics);
             // Candidates reach the archive in proposal order at every
             // batch size and thread count, so the front is as
@@ -140,7 +143,7 @@ Mapper::searchWithThreads(int num_threads) const
                             best_index)) {
                 result.found = true;
                 result.mapping = batch[i].mapping;
-                result.eval = evals[i];
+                best_eval = evals[i];
                 best_metrics = metrics;
                 best_index = batch[i].index;
             }
@@ -151,6 +154,7 @@ Mapper::searchWithThreads(int num_threads) const
     result.pareto_front = archive.takeEntries();
     if (result.found) {
         result.status = SearchStatus::kFound;
+        result.eval = *best_eval;
         if (options_.warm_start) {
             options_.warm_start->record(result.mapping, best_metrics,
                                         spec.scalarize(best_metrics));

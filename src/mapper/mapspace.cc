@@ -262,23 +262,28 @@ MapSpace::MapSpace(const Workload &workload, const Architecture &arch,
         return;
     }
     if (tilings_ok) {
-        std::vector<std::int64_t> radices(split_count_.begin(),
-                                          split_count_.end());
         std::int64_t total = 0;
         bool saturated = false;
         prune_stats_ = {};
         prune_stats_.exact = true;
         tiling_prefix_.reserve(static_cast<std::size_t>(tilings) + 1);
         tiling_prefix_.push_back(0);
+        // Tiling t's coordinates are the mixed-radix digits of t
+        // (dimension 0 fastest), stepped like an odometer.
+        std::vector<std::size_t> tiling(static_cast<std::size_t>(D), 0);
         for (std::int64_t t = 0; t < tilings; ++t) {
-            auto digits = math::mixedRadixDecode(t, radices);
-            std::vector<std::size_t> tiling(digits.begin(),
-                                            digits.end());
-            auto factors = tilingFactors(tiling);
+            if (t > 0) {
+                for (std::size_t d = 0;
+                     ++tiling[d] ==
+                     static_cast<std::size_t>(split_count_[d]);
+                     ++d) {
+                    tiling[d] = 0;
+                }
+            }
+            const FactorGrid factors = tilingFactors(tiling);
             for (int l = 0; l < S; ++l) {
                 if (!orderConstrained(l)) {
-                    ensureCanonical(tiledMask(
-                        factors[static_cast<std::size_t>(l)]));
+                    ensureCanonical(tiledMask(factors.row(l)));
                 }
             }
             BlockCounts c = blockCounts(factors);
@@ -378,55 +383,55 @@ MapSpace::orderConstrained(int level) const
                 .loop_order.empty();
 }
 
-std::vector<int>
-MapSpace::spatialCandidates(
-    int level, const std::vector<std::int64_t> &factors) const
+bool
+MapSpace::spatialCandidate(int level, int d, std::int64_t f) const
 {
-    std::vector<int> candidates;
-    if (arch_.level(level).fanout <= 1) {
-        return candidates;
+    const std::int64_t fanout = arch_.level(level).fanout;
+    if (f <= 1 || f > fanout) {
+        return false;
     }
     const LevelConstraint &con =
         level_cons_[static_cast<std::size_t>(level)];
+    return con.spatial_dims.empty() ||
+        std::find(con.spatial_dims.begin(), con.spatial_dims.end(), d) !=
+            con.spatial_dims.end();
+}
+
+MapSpace::Candidates
+MapSpace::spatialCandidates(int level, const std::int64_t *factors) const
+{
+    Candidates candidates;
     for (int d = 0; d < dimCount(); ++d) {
-        std::int64_t f = factors[static_cast<std::size_t>(d)];
-        bool allowed = con.spatial_dims.empty() ||
-            std::find(con.spatial_dims.begin(), con.spatial_dims.end(),
-                      d) != con.spatial_dims.end();
-        if (f > 1 && f <= arch_.level(level).fanout && allowed) {
+        if (spatialCandidate(level, d, factors[d])) {
             candidates.push_back(d);
         }
     }
     return candidates;
 }
 
-std::vector<std::vector<std::int64_t>>
+MapSpace::FactorGrid
 MapSpace::tilingFactors(const std::vector<std::size_t> &tiling) const
 {
     const int S = levelCount();
     const int D = dimCount();
-    std::vector<std::vector<std::int64_t>> factors(
-        static_cast<std::size_t>(S),
-        std::vector<std::int64_t>(static_cast<std::size_t>(D), 1));
+    FactorGrid factors(S, D);
     for (int d = 0; d < D; ++d) {
         const auto &split =
             splits_[static_cast<std::size_t>(d)]
                    [tiling[static_cast<std::size_t>(d)]];
         for (int l = 0; l < S; ++l) {
-            factors[static_cast<std::size_t>(l)]
-                   [static_cast<std::size_t>(d)] =
-                split[static_cast<std::size_t>(l)];
+            factors.at(l, d) = split[static_cast<std::size_t>(l)];
         }
     }
     return factors;
 }
 
 std::uint64_t
-MapSpace::tiledMask(const std::vector<std::int64_t> &level_factors) const
+MapSpace::tiledMask(const std::int64_t *level_factors) const
 {
     std::uint64_t mask = 0;
     for (int d = 0; d < dimCount(); ++d) {
-        if (level_factors[static_cast<std::size_t>(d)] > 1) {
+        if (level_factors[d] > 1) {
             mask |= std::uint64_t{1} << static_cast<unsigned>(d);
         }
     }
@@ -487,16 +492,15 @@ MapSpace::canonicalOrders(std::uint64_t mask) const
     return it->second;
 }
 
-std::vector<std::uint64_t>
-MapSpace::relevantLevelMasks(
-    const std::vector<std::vector<std::int64_t>> &factors) const
+SmallVector<std::uint64_t, 8>
+MapSpace::relevantLevelMasks(const FactorGrid &factors) const
 {
     const int T = workload_.tensorCount();
-    std::vector<std::uint64_t> rel(static_cast<std::size_t>(T), 0);
+    SmallVector<std::uint64_t, 8> rel(static_cast<std::size_t>(T), 0);
     for (int l = 0; l < levelCount(); ++l) {
-        const auto &lf = factors[static_cast<std::size_t>(l)];
+        const std::int64_t *lf = factors.row(l);
         for (int d = 0; d < dimCount(); ++d) {
-            if (lf[static_cast<std::size_t>(d)] <= 1) {
+            if (lf[d] <= 1) {
                 continue;
             }
             for (int t = 0; t < T; ++t) {
@@ -510,7 +514,7 @@ MapSpace::relevantLevelMasks(
     return rel;
 }
 
-std::vector<std::uint32_t>
+SmallVector<std::uint32_t, 16>
 MapSpace::keepCombos(int t, std::uint64_t relevant_mask) const
 {
     const int S = levelCount();
@@ -526,7 +530,7 @@ MapSpace::keepCombos(int t, std::uint64_t relevant_mask) const
             fixed |= std::uint64_t{1} << static_cast<unsigned>(l);
         }
     }
-    std::vector<std::uint32_t> combos;
+    SmallVector<std::uint32_t, 16> combos;
     for (std::uint32_t bits = 0;
          bits < (1u << static_cast<unsigned>(F)); ++bits) {
         std::uint64_t col = fixed;
@@ -575,23 +579,22 @@ MapSpace::keepCombos(int t, std::uint64_t relevant_mask) const
 }
 
 bool
-MapSpace::capacityPruned(
-    const std::vector<std::vector<std::int64_t>> &factors) const
+MapSpace::capacityPruned(const FactorGrid &factors) const
 {
     const int S = levelCount();
     const int D = dimCount();
     const int T = workload_.tensorCount();
+    SmallVector<std::int64_t, 16> tiles;
+    TileExtents extents;
     for (int l = 0; l < S; ++l) {
         double cap = arch_.level(l).capacity_words;
         if (std::isinf(cap)) {
             continue;
         }
-        std::vector<std::int64_t> tiles(static_cast<std::size_t>(D), 1);
+        tiles.assign(static_cast<std::size_t>(D), 1);
         for (int d = 0; d < D; ++d) {
             for (int l2 = l; l2 < S; ++l2) {
-                tiles[static_cast<std::size_t>(d)] *=
-                    factors[static_cast<std::size_t>(l2)]
-                           [static_cast<std::size_t>(d)];
+                tiles[static_cast<std::size_t>(d)] *= factors.row(l2)[d];
             }
         }
         // Minimum possible occupancy: only tensors kept under every
@@ -607,8 +610,8 @@ MapSpace::capacityPruned(
             if (!always_kept) {
                 continue;
             }
-            occupancy += static_cast<double>(
-                volume(workload_.tensorTileExtents(t, tiles)));
+            workload_.tensorTileExtentsInto(t, tiles.data(), extents);
+            occupancy += static_cast<double>(volume(extents));
         }
         if (occupancy > cap) {
             return true;
@@ -618,8 +621,7 @@ MapSpace::capacityPruned(
 }
 
 MapSpace::BlockCounts
-MapSpace::blockCounts(
-    const std::vector<std::vector<std::int64_t>> &factors) const
+MapSpace::blockCounts(const FactorGrid &factors) const
 {
     BlockCounts c;
     double ps_raw = 1.0;   // permutation x spatial, before symmetry
@@ -627,7 +629,7 @@ MapSpace::blockCounts(
     double keeps_raw = 1.0;
     std::int64_t block = 1;
     for (int l = 0; l < levelCount(); ++l) {
-        const auto &lf = factors[static_cast<std::size_t>(l)];
+        const std::int64_t *lf = factors.row(l);
         std::uint64_t mask = tiledMask(lf);
         std::int64_t raw_perms =
             orderConstrained(l) ? 1 : math::factorial(countBits(mask));
@@ -636,10 +638,11 @@ MapSpace::blockCounts(
             perms = static_cast<std::int64_t>(
                 canonicalOrders(mask).size());
         }
-        std::int64_t spatial = std::max<std::int64_t>(
-            1,
-            static_cast<std::int64_t>(
-                spatialCandidates(l, lf).size()));
+        std::int64_t spatial = 0;
+        for (int d = 0; d < dimCount(); ++d) {
+            spatial += spatialCandidate(l, d, lf[d]) ? 1 : 0;
+        }
+        spatial = std::max<std::int64_t>(1, spatial);
         ps_raw *= static_cast<double>(raw_perms) *
                   static_cast<double>(spatial);
         ps_sym *= static_cast<double>(perms) *
@@ -746,9 +749,7 @@ MapSpace::sampleMapping(std::uint64_t seed) const
     //    admissible level upward; the outermost admissible level takes
     //    the residual. With no constraints every level is admissible
     //    and this consumes the RNG exactly like the pre-IR sampler.
-    std::vector<std::vector<std::int64_t>> factors(
-        static_cast<std::size_t>(S),
-        std::vector<std::int64_t>(static_cast<std::size_t>(D), 1));
+    FactorGrid factors(S, D);
     for (int d = 0; d < D; ++d) {
         const auto &lvls = allowed_[static_cast<std::size_t>(d)];
         std::int64_t remaining = workload_.dims()[d].bound;
@@ -760,12 +761,10 @@ MapSpace::sampleMapping(std::uint64_t seed) const
             std::uniform_int_distribution<std::size_t> pick(
                 0, divs.size() - 1);
             std::int64_t f = divs[pick(rng)];
-            factors[static_cast<std::size_t>(lvls[i])]
-                   [static_cast<std::size_t>(d)] = f;
+            factors.at(lvls[i], d) = f;
             remaining /= f;
         }
-        factors[static_cast<std::size_t>(lvls.front())]
-               [static_cast<std::size_t>(d)] = remaining;
+        factors.at(lvls.front(), d) = remaining;
     }
 
     // 2. Per level: loop order (constrained sequence or a shuffle) and
@@ -774,7 +773,7 @@ MapSpace::sampleMapping(std::uint64_t seed) const
     for (int l = 0; l < S; ++l) {
         const LevelConstraint &con =
             level_cons_[static_cast<std::size_t>(l)];
-        const auto &lf = factors[static_cast<std::size_t>(l)];
+        const std::int64_t *lf = factors.row(l);
         std::vector<int> dims;
         for (int d = 0; d < D; ++d) {
             if (lf[static_cast<std::size_t>(d)] > 1) {
@@ -855,13 +854,13 @@ MapSpace::mappingAt(std::int64_t index) const
                                       split_count_.end());
     auto digits = math::mixedRadixDecode(t, radices);
     std::vector<std::size_t> tiling(digits.begin(), digits.end());
-    auto factors = tilingFactors(tiling);
+    const FactorGrid factors = tilingFactors(tiling);
 
     const int S = levelCount();
     const int T = workload_.tensorCount();
     std::vector<LevelNest> nests(static_cast<std::size_t>(S));
     for (int l = 0; l < S; ++l) {
-        const auto &lf = factors[static_cast<std::size_t>(l)];
+        const std::int64_t *lf = factors.row(l);
         std::uint64_t mask = tiledMask(lf);
         std::vector<int> order;
         if (orderConstrained(l)) {
@@ -963,11 +962,11 @@ MapSpace::mappingAt(std::int64_t index) const
 Mapping
 MapSpace::materialize(const Point &point) const
 {
-    auto factors = tilingFactors(point.tiling);
+    const FactorGrid factors = tilingFactors(point.tiling);
     const int S = levelCount();
     std::vector<LevelNest> nests(static_cast<std::size_t>(S));
     for (int l = 0; l < S; ++l) {
-        const auto &lf = factors[static_cast<std::size_t>(l)];
+        const std::int64_t *lf = factors.row(l);
         const auto &order = point.order[static_cast<std::size_t>(l)];
         int spatial_dim = point.spatial[static_cast<std::size_t>(l)];
         for (int d : order) {
@@ -998,19 +997,15 @@ MapSpace::encode(const Mapping &mapping) const
     point.spatial.assign(static_cast<std::size_t>(S), -1);
     point.keep.resize(static_cast<std::size_t>(S));
 
-    std::vector<std::vector<std::int64_t>> factors(
-        static_cast<std::size_t>(S),
-        std::vector<std::int64_t>(static_cast<std::size_t>(D), 1));
+    FactorGrid factors(S, D);
     for (int l = 0; l < S; ++l) {
         const LevelNest &nest = mapping.level(l);
         for (const Loop &loop : nest.loops) {
             if (loop.dim < 0 || loop.dim >= D ||
-                factors[static_cast<std::size_t>(l)]
-                       [static_cast<std::size_t>(loop.dim)] != 1) {
+                factors.at(l, loop.dim) != 1) {
                 return std::nullopt;  // unknown or repeated dimension
             }
-            factors[static_cast<std::size_t>(l)]
-                   [static_cast<std::size_t>(loop.dim)] = loop.bound;
+            factors.at(l, loop.dim) = loop.bound;
             if (loop.bound > 1) {
                 point.order[static_cast<std::size_t>(l)].push_back(
                     loop.dim);
@@ -1037,9 +1032,7 @@ MapSpace::encode(const Mapping &mapping) const
         }
         std::vector<std::int64_t> split(static_cast<std::size_t>(S));
         for (int l = 0; l < S; ++l) {
-            split[static_cast<std::size_t>(l)] =
-                factors[static_cast<std::size_t>(l)]
-                       [static_cast<std::size_t>(d)];
+            split[static_cast<std::size_t>(l)] = factors.at(l, d);
         }
         auto sit = std::lower_bound(dim_splits.begin(),
                                     dim_splits.end(), split);
@@ -1059,10 +1052,10 @@ MapSpace::Point
 MapSpace::reconcile(Point point) const
 {
     const int S = levelCount();
-    auto nf = tilingFactors(point.tiling);
+    const FactorGrid factors = tilingFactors(point.tiling);
     for (int l = 0; l < S; ++l) {
-        const auto &lf = nf[static_cast<std::size_t>(l)];
-        std::vector<int> order;
+        const std::int64_t *lf = factors.row(l);
+        SmallVector<int, 8> order;
         if (orderConstrained(l)) {
             for (int d : level_cons_[static_cast<std::size_t>(l)]
                              .loop_order) {
@@ -1084,8 +1077,10 @@ MapSpace::reconcile(Point point) const
                 }
             }
         }
-        point.order[static_cast<std::size_t>(l)] = std::move(order);
-        auto candidates = spatialCandidates(l, lf);
+        // Assigned in place, so the point's order buffers are reused.
+        point.order[static_cast<std::size_t>(l)].assign(order.begin(),
+                                                        order.end());
+        const Candidates candidates = spatialCandidates(l, lf);
         int &spatial = point.spatial[static_cast<std::size_t>(l)];
         if (std::find(candidates.begin(), candidates.end(), spatial) ==
             candidates.end()) {
@@ -1156,16 +1151,19 @@ MapSpace::randomNeighbor(const Point &point, std::mt19937_64 &rng) const
             order_moves += order.size() - 1;
         }
     }
-    auto factors = tilingFactors(point.tiling);
-    std::vector<std::vector<int>> spatial_alts(static_cast<std::size_t>(S));
+    const FactorGrid factors = tilingFactors(point.tiling);
+    // Alternatives to the current spatial loop, in `neighbors` order.
+    auto spatialAlts = [&](int l) {
+        Candidates alts = spatialCandidates(l, factors.row(l));
+        alts.resize(static_cast<std::size_t>(
+            std::remove(alts.begin(), alts.end(),
+                        point.spatial[static_cast<std::size_t>(l)]) -
+            alts.begin()));
+        return alts;
+    };
     std::size_t spatial_moves = 0;
     for (int l = 0; l < S; ++l) {
-        auto &alts = spatial_alts[static_cast<std::size_t>(l)];
-        alts = spatialCandidates(l, factors[static_cast<std::size_t>(l)]);
-        alts.erase(std::remove(alts.begin(), alts.end(),
-                               point.spatial[static_cast<std::size_t>(l)]),
-                   alts.end());
-        spatial_moves += alts.size();
+        spatial_moves += spatialAlts(l).size();
     }
     auto keepAlts = [&](int l) {
         std::size_t n = keep_choices_[static_cast<std::size_t>(l)].size();
@@ -1216,7 +1214,7 @@ MapSpace::randomNeighbor(const Point &point, std::mt19937_64 &rng) const
     k -= order_moves;
     if (k < spatial_moves) {
         for (int l = 0; l < S; ++l) {
-            const auto &alts = spatial_alts[static_cast<std::size_t>(l)];
+            const Candidates alts = spatialAlts(l);
             if (k < alts.size()) {
                 p.spatial[static_cast<std::size_t>(l)] = alts[k];
                 return p;
@@ -1243,7 +1241,7 @@ MapSpace::neighbors(const Point &point) const
 {
     std::vector<Point> out;
     const int S = levelCount();
-    auto factors = tilingFactors(point.tiling);
+    const FactorGrid factors = tilingFactors(point.tiling);
 
     // Tiling moves: adjacent split per dimension.
     for (int d = 0; d < dimCount(); ++d) {
@@ -1277,9 +1275,7 @@ MapSpace::neighbors(const Point &point) const
 
     // Spatial moves: every alternative candidate.
     for (int l = 0; l < S; ++l) {
-        auto candidates =
-            spatialCandidates(l, factors[static_cast<std::size_t>(l)]);
-        for (int d : candidates) {
+        for (int d : spatialCandidates(l, factors.row(l))) {
             if (d == point.spatial[static_cast<std::size_t>(l)]) {
                 continue;
             }

@@ -72,6 +72,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/small_vector.hh"
 #include "mapping/mapping.hh"
 
 namespace sparseloop {
@@ -406,22 +407,56 @@ class MapSpace
     const MapSpaceOptions &options() const { return options_; }
 
   private:
+    /**
+     * Per-level factors of one tiling as one flat levels x dims
+     * matrix: row l holds level l's factor of every dimension. The
+     * inline buffer covers every hierarchy in the tree (up to 64
+     * cells), so a tiling costs no heap allocation.
+     */
+    class FactorGrid
+    {
+      public:
+        FactorGrid(int levels, int dims)
+            : dims_(static_cast<std::size_t>(dims)),
+              cells_(static_cast<std::size_t>(levels) * dims_, 1)
+        {}
+        /** Level @p l's factors, indexed by dimension. */
+        const std::int64_t *row(int l) const
+        {
+            return cells_.data() + static_cast<std::size_t>(l) * dims_;
+        }
+        std::int64_t &at(int l, int d)
+        {
+            return cells_[static_cast<std::size_t>(l) * dims_ +
+                          static_cast<std::size_t>(d)];
+        }
+
+      private:
+        std::size_t dims_;
+        SmallVector<std::int64_t, 64> cells_;
+    };
+
+    /** Spatial candidates of one level as returned inline (a level
+     *  has at most `dimCount()` of them). */
+    using Candidates = SmallVector<int, 8>;
+
+    /** Whether dimension @p d, with factor @p f at @p level, may be
+     *  that level's spatial loop. */
+    bool spatialCandidate(int level, int d, std::int64_t f) const;
+
     /** Spatial candidates at @p level given per-dim factors there,
      *  in ascending dimension order. */
-    std::vector<int>
-    spatialCandidates(int level,
-                      const std::vector<std::int64_t> &factors) const;
+    Candidates spatialCandidates(int level,
+                                 const std::int64_t *factors) const;
 
     /** Whether constraints fix the loop order at @p level. */
     bool orderConstrained(int level) const;
 
     /** Per-level factors of one tiling coordinate vector. */
-    std::vector<std::vector<std::int64_t>>
-    tilingFactors(const std::vector<std::size_t> &tiling) const;
+    FactorGrid tilingFactors(const std::vector<std::size_t> &tiling) const;
 
     /** Bitmask of dimensions tiled (factor > 1) at one level. */
-    std::uint64_t tiledMask(
-        const std::vector<std::int64_t> &level_factors) const;
+    std::uint64_t tiledMask(const std::int64_t *level_factors) const;
 
     /** Canonical loop orders of the dimension set @p mask (built
      *  during construction; every mask reachable by enumeration is
@@ -440,8 +475,8 @@ class MapSpace
 
     /** Per-tensor bitmask of levels carrying a factor-> 1 loop over a
      *  dimension relevant to the tensor, for one tiling. */
-    std::vector<std::uint64_t> relevantLevelMasks(
-        const std::vector<std::vector<std::int64_t>> &factors) const;
+    SmallVector<std::uint64_t, 8>
+    relevantLevelMasks(const FactorGrid &factors) const;
 
     /**
      * Admissible free-level keep combinations for tensor @p t
@@ -449,12 +484,11 @@ class MapSpace
      * combinations removed when `prune_dominated_keeps` is on.
      * @p relevant_mask is the tensor's entry of relevantLevelMasks.
      */
-    std::vector<std::uint32_t>
+    SmallVector<std::uint32_t, 16>
     keepCombos(int t, std::uint64_t relevant_mask) const;
 
     /** Whether every point of this tiling overflows some capacity. */
-    bool capacityPruned(
-        const std::vector<std::vector<std::int64_t>> &factors) const;
+    bool capacityPruned(const FactorGrid &factors) const;
 
     /** Per-pass point counts of one tiling combination. */
     struct BlockCounts
@@ -464,8 +498,7 @@ class MapSpace
         double pruned = 0.0;    ///< after keep-dominance pruning
         std::int64_t block = 0; ///< enumerated size (saturating)
     };
-    BlockCounts blockCounts(
-        const std::vector<std::vector<std::int64_t>> &factors) const;
+    BlockCounts blockCounts(const FactorGrid &factors) const;
 
     const Workload &workload_;
     const Architecture &arch_;

@@ -1,12 +1,16 @@
 /**
  * @file
- * Batched evaluation: dedupe by EvalKey, group by dense prefix, fan
- * groups out across a worker pool.
+ * Batched evaluation: dedupe by EvalKey, group by dense prefix, and
+ * fan the groups out across the worker pool when they carry enough
+ * work to pay for it.
  */
 
 #include "model/batch_evaluator.hh"
 
 #include <algorithm>
+#include <chrono>
+#include <cstdint>
+#include <tuple>
 #include <utility>
 
 #include "common/logging.hh"
@@ -41,56 +45,117 @@ BatchEvaluator::threadCount(std::size_t jobs) const
 
 namespace {
 
-/** An EvalKey carrying its hash, computed exactly once per batch:
- *  dedupe, grouping, cache lookup, and cache insertion all reuse it
- *  instead of re-hashing the key at each stage. */
-struct HashedEvalKey
-{
-    EvalKey key;
-    std::uint64_t hash = 0;
-    bool operator==(const HashedEvalKey &o) const
-    {
-        return key == o.key;
-    }
-};
+using Clock = std::chrono::steady_clock;
 
-struct HashedEvalKeyHash
-{
-    std::size_t operator()(const HashedEvalKey &k) const
-    {
-        return static_cast<std::size_t>(k.hash);
-    }
-};
+/**
+ * Least estimated work, in engine time, worth a wake-up of the worker
+ * pool. A wave runs its first item on the calling thread and times
+ * it; the remaining items go to the pool only when that time times
+ * their count exceeds this, and otherwise run inline too.
+ *
+ * Measured with a standalone harness (cold `Engine::evaluate` on
+ * SCNN and Eyeriss V2 PE candidates of ResNet-50 layers, inline
+ * against `parallelFor(4, n)`, medians of 301 runs) on a 4-thread x86
+ * container: a pool round trip added 7-10 us at every size, and
+ * 2.5-3 us of work per cold point. That container's CPU quota is one
+ * core (four threads of pure arithmetic ran no faster than one), so
+ * the pool could not win there at any size. The constant is taken
+ * from a 4-core host instead, where batches of 8-64 cold candidates
+ * ran 0.73-1.03x as fast at 4 threads as at 1, and a prototype that
+ * ran fewer than 16 cold groups (about 40 us) inline won on every
+ * workload. Rounds of 8 stay on the caller; a daemon's 64-mapping
+ * batch and actual-data evaluations (milliseconds each) fan out.
+ */
+constexpr Clock::duration kFanOutMinWork = std::chrono::microseconds(40);
 
-/** Same for the Step-1 prefix. */
-struct HashedDenseKey
+/**
+ * Run body(i) for every i in [0, count): item 0 on the calling
+ * thread, timed, then the rest either inline or, when their estimated
+ * work exceeds `kFanOutMinWork` and @p threads allows it, as one
+ * `parallelFor` on the pool. Returns the number of items handed to
+ * the pool.
+ */
+template <typename Body>
+std::int64_t
+runWave(const BatchEvaluator &evaluator, std::size_t count,
+        const Body &body)
 {
-    DenseKey key;
-    std::uint64_t hash = 0;
-    bool operator==(const HashedDenseKey &o) const
-    {
-        return key == o.key;
+    if (count == 0) {
+        return 0;
     }
-};
+    const std::size_t rest = count - 1;
+    const int threads = evaluator.threadCount(rest);
+    const Clock::time_point start =
+        threads > 1 ? Clock::now() : Clock::time_point{};
+    body(0);
+    if (threads > 1 &&
+        (Clock::now() - start) * static_cast<Clock::rep>(rest) >
+            kFanOutMinWork) {
+        parallel::parallelFor(threads, rest,
+                              [&](std::size_t i) { body(i + 1); });
+        return static_cast<std::int64_t>(rest);
+    }
+    for (std::size_t i = 1; i < count; ++i) {
+        body(i);
+    }
+    return 0;
+}
 
-struct HashedDenseKeyHash
+/**
+ * Set `field` of keys[i] to the signature of points[i].*object,
+ * calling `signature()` once per distinct object: sweeps share
+ * workloads, mappings and SAF specs across many points. @p by_address
+ * is scratch.
+ */
+template <typename T>
+void
+memoizedSignatures(
+    const std::vector<EvalPoint> &points, const T *EvalPoint::*object,
+    std::uint64_t EvalKey::*field, std::vector<EvalKey> &keys,
+    std::vector<std::pair<std::uintptr_t, std::size_t>> &by_address)
 {
-    std::size_t operator()(const HashedDenseKey &k) const
-    {
-        return static_cast<std::size_t>(k.hash);
+    by_address.clear();
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        by_address.emplace_back(
+            reinterpret_cast<std::uintptr_t>(points[i].*object), i);
     }
-};
+    std::sort(by_address.begin(), by_address.end());
+    std::uint64_t sig = 0;
+    for (std::size_t r = 0; r < by_address.size(); ++r) {
+        if (r == 0 || by_address[r].first != by_address[r - 1].first) {
+            sig = (points[by_address[r].second].*object)->signature();
+        }
+        keys[by_address[r].second].*field = sig;
+    }
+}
+
+/**
+ * Sort @p items on (key_of(item), item). @p key_of returns a tuple
+ * that leads with the item's precomputed hash, so most comparisons
+ * stop at the first field, and equal keys end up adjacent in
+ * ascending item order.
+ */
+template <typename KeyOf>
+void
+sortByKey(std::vector<std::size_t> &items, const KeyOf &key_of)
+{
+    std::sort(items.begin(), items.end(),
+              [&](std::size_t a, std::size_t b) {
+                  return std::tuple_cat(key_of(a), std::tie(a)) <
+                         std::tuple_cat(key_of(b), std::tie(b));
+              });
+}
 
 } // namespace
 
-std::vector<EvalResult>
-BatchEvaluator::evaluateBatch(const std::vector<EvalPoint> &points,
-                              BatchStats *stats) const
+std::vector<std::shared_ptr<const EvalResult>>
+BatchEvaluator::evaluateShared(const std::vector<EvalPoint> &points,
+                               BatchStats *stats) const
 {
-    // 1. Dedupe: one job per distinct EvalKey; remember which job
-    //    serves each input point. Each key (and its dense prefix) is
-    //    hashed here, once, and the hash rides along through every
-    //    later stage.
+    // 1. Dedupe: one job per distinct EvalKey, in order of first
+    //    occurrence; remember which job serves each input point. Each
+    //    key is hashed here, once, and the hash rides along through
+    //    every later stage.
     struct Job
     {
         EvalKey key;
@@ -110,81 +175,106 @@ BatchEvaluator::evaluateBatch(const std::vector<EvalPoint> &points,
         job.result = std::move(bad);
         job.dense = nullptr;
     };
-    std::vector<Job> jobs;
-    std::vector<std::size_t> point_to_job(points.size());
-    std::unordered_map<HashedEvalKey, std::size_t, HashedEvalKeyHash>
-        job_of;
-    job_of.reserve(points.size());
-    // Sweeps share workloads/mappings/SAF specs across many points;
-    // memoize each object's signature by address so it hashes once
-    // (one map per type: different-typed objects may share addresses).
-    auto memoized = [](auto &memo, const auto *ptr) {
-        auto [it, inserted] = memo.emplace(ptr, 0);
-        if (inserted) {
-            it->second = ptr->signature();
-        }
-        return it->second;
-    };
-    std::unordered_map<const Workload *, std::uint64_t> workload_sigs;
-    std::unordered_map<const Mapping *, std::uint64_t> mapping_sigs;
-    std::unordered_map<const SafSpec *, std::uint64_t> saf_sigs;
-    for (std::size_t i = 0; i < points.size(); ++i) {
+    const std::size_t n = points.size();
+    for (std::size_t i = 0; i < n; ++i) {
         const EvalPoint &p = points[i];
         if (!p.workload || !p.mapping || !p.safs) {
             SL_FATAL("EvalPoint ", i, " has a null component");
         }
-        HashedEvalKey hkey;
-        hkey.key.engine = engine_.signature();
-        hkey.key.workload = memoized(workload_sigs, p.workload);
-        hkey.key.mapping = memoized(mapping_sigs, p.mapping);
-        hkey.key.safs = memoized(saf_sigs, p.safs);
-        hkey.hash = hkey.key.hash();
-        auto [it, inserted] = job_of.emplace(hkey, jobs.size());
-        if (inserted) {
-            Job job;
-            job.key = hkey.key;
-            job.key_hash = hkey.hash;
-            job.dense_hash = hkey.key.densePrefix().hash();
-            job.point = &p;
-            jobs.push_back(std::move(job));
+    }
+    std::vector<EvalKey> keys(n);
+    std::vector<std::uint64_t> hashes(n);
+    {
+        std::vector<std::pair<std::uintptr_t, std::size_t>> by_address;
+        by_address.reserve(n);
+        memoizedSignatures(points, &EvalPoint::workload,
+                           &EvalKey::workload, keys, by_address);
+        memoizedSignatures(points, &EvalPoint::mapping, &EvalKey::mapping,
+                           keys, by_address);
+        memoizedSignatures(points, &EvalPoint::safs, &EvalKey::safs, keys,
+                           by_address);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+        keys[i].engine = engine_.signature();
+        hashes[i] = keys[i].hash();
+    }
+    auto pointKey = [&](std::size_t i) {
+        const EvalKey &k = keys[i];
+        return std::make_tuple(hashes[i], k.engine, k.workload, k.mapping,
+                               k.safs);
+    };
+    std::vector<std::size_t> order(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        order[i] = i;
+    }
+    sortByKey(order, pointKey);
+    // point_to_job first holds each point's first occurrence (the
+    // head of its run in `order`), then, below, its job index.
+    std::vector<std::size_t> point_to_job(n);
+    for (std::size_t r = 0; r < n; ++r) {
+        point_to_job[order[r]] =
+            r > 0 && pointKey(order[r - 1]) == pointKey(order[r])
+                ? point_to_job[order[r - 1]]
+                : order[r];
+    }
+    std::vector<Job> jobs;
+    jobs.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        // A repeat's first occurrence precedes it and already holds
+        // its job index.
+        if (point_to_job[i] != i) {
+            point_to_job[i] = point_to_job[point_to_job[i]];
+            continue;
         }
-        point_to_job[i] = it->second;
+        point_to_job[i] = jobs.size();
+        Job job;
+        job.key = keys[i];
+        job.key_hash = hashes[i];
+        job.point = &points[i];
+        jobs.push_back(std::move(job));
     }
 
     // 2. Resolve full-result cache hits up front, then group only the
     //    unresolved jobs by dense prefix so each of their Step-1 dense
     //    analyses runs (or is fetched) exactly once — and a batch of
-    //    pure repeats never touches the dense level at all.
+    //    pure repeats never touches the dense level at all. Groups
+    //    are flat: group g's jobs are
+    //    group_jobs[group_begin[g] .. group_begin[g + 1]), ascending,
+    //    and the groups are in dense-hash order.
     std::vector<std::size_t> unresolved;
     unresolved.reserve(jobs.size());
-    std::unordered_map<HashedDenseKey, std::vector<std::size_t>,
-                       HashedDenseKeyHash>
-        grouped;
-    grouped.reserve(jobs.size());
     for (std::size_t j = 0; j < jobs.size(); ++j) {
-        jobs[j].result = cache_->findResult(jobs[j].key,
-                                            jobs[j].key_hash);
-        if (!jobs[j].result) {
+        Job &job = jobs[j];
+        job.result = cache_->findResult(job.key, job.key_hash);
+        if (!job.result) {
+            job.dense_hash = job.key.densePrefix().hash();
             unresolved.push_back(j);
-            grouped[{jobs[j].key.densePrefix(), jobs[j].dense_hash}]
-                .push_back(j);
         }
     }
-    std::vector<std::vector<std::size_t>> groups;
-    groups.reserve(grouped.size());
-    for (auto &kv : grouped) {
-        groups.push_back(std::move(kv.second));
+    // Sorted on the dense prefix, each run of equal prefixes is one
+    // group.
+    auto denseKey = [&](std::size_t j) {
+        const Job &job = jobs[j];
+        return std::make_tuple(job.dense_hash, job.key.engine,
+                               job.key.workload, job.key.mapping);
+    };
+    std::vector<std::size_t> group_jobs = unresolved;
+    sortByKey(group_jobs, denseKey);
+    std::vector<std::size_t> group_begin;
+    for (std::size_t r = 0; r < group_jobs.size(); ++r) {
+        if (r == 0 ||
+            denseKey(group_jobs[r - 1]) != denseKey(group_jobs[r])) {
+            group_begin.push_back(r);
+        }
     }
+    const std::size_t group_count = group_begin.size();
+    group_begin.push_back(group_jobs.size());
 
-    if (stats) {
-        stats->points = static_cast<std::int64_t>(points.size());
-        stats->unique_points = static_cast<std::int64_t>(jobs.size());
-        stats->dense_groups = static_cast<std::int64_t>(groups.size());
-    }
-
-    // 3. One wave over the dense groups on the persistent pool
-    //    (chunked claiming, prompt abort and rethrow on the first
-    //    exception other than the `FatalError`s caught per job below).
+    // 3. One wave over the dense groups (see `runWave`: the first
+    //    group runs on the calling thread, and the rest reach the
+    //    persistent pool only when they carry enough work; chunked
+    //    claiming, prompt abort and rethrow on the first exception
+    //    other than the `FatalError`s caught per job below).
     //    Each group fetches its Step-1 dense traffic from the cache or
     //    computes it. A one-job group then runs steps 2-3 in the same
     //    task; if its dense entry missed it takes the cold
@@ -192,16 +282,18 @@ BatchEvaluator::evaluateBatch(const std::vector<EvalPoint> &points,
     //    the result instead of copying it, and its fresh dense entry
     //    is an aliasing pointer to that result's own `dense` member.
     //    The jobs of larger groups are left for a second wave, one
-    //    task per job, which runs only when such a group exists.
-    //    Workers only write into their own jobs[] and fresh[] slots;
-    //    all cache insertions are buffered and merged in bulk after
-    //    the waves, so the hot loops touch no shared mutex.
-    std::vector<std::shared_ptr<const DenseTraffic>> fresh(groups.size());
+    //    task per job under the same rule, which runs only when such
+    //    a group exists. Tasks only write into their own jobs[] and
+    //    fresh[] slots; all cache insertions are buffered and merged
+    //    in bulk after the waves, so the hot loops touch no shared
+    //    mutex.
+    std::vector<std::shared_ptr<const DenseTraffic>> fresh(group_count);
     std::vector<std::size_t> shared_jobs;
-    for (const std::vector<std::size_t> &group : groups) {
-        if (group.size() > 1) {
-            shared_jobs.insert(shared_jobs.end(), group.begin(),
-                               group.end());
+    for (std::size_t g = 0; g < group_count; ++g) {
+        if (group_begin[g + 1] - group_begin[g] > 1) {
+            shared_jobs.insert(shared_jobs.end(),
+                               group_jobs.begin() + group_begin[g],
+                               group_jobs.begin() + group_begin[g + 1]);
         }
     }
     auto stepsTwoThree = [&](Job &job) {
@@ -214,14 +306,17 @@ BatchEvaluator::evaluateBatch(const std::vector<EvalPoint> &points,
             fail(job, err);
         }
     };
-    parallel::parallelFor(
-        threadCount(groups.size()), groups.size(), [&](std::size_t g) {
-            const std::vector<std::size_t> &group = groups[g];
-            Job &lead = jobs[group.front()];
+    const std::int64_t pooled_groups =
+        runWave(*this, group_count, [&](std::size_t g) {
+            const std::size_t *first = group_jobs.data() + group_begin[g];
+            const std::size_t *last =
+                group_jobs.data() + group_begin[g + 1];
+            Job &lead = jobs[*first];
             const EvalPoint &lp = *lead.point;
             std::shared_ptr<const DenseTraffic> dense = cache_->findDense(
                 lead.key.densePrefix(), lead.dense_hash);
-            if (!dense && group.size() == 1) {
+            const bool single = last - first == 1;
+            if (!dense && single) {
                 try {
                     auto result = std::make_shared<const EvalResult>(
                         engine_.evaluate(*lp.workload, *lp.mapping,
@@ -243,36 +338,33 @@ BatchEvaluator::evaluateBatch(const std::vector<EvalPoint> &points,
                         engine_.analyzeDataflow(*lp.workload,
                                                 *lp.mapping));
                 } catch (const FatalError &err) {
-                    for (std::size_t j : group) {
-                        fail(jobs[j], err);
+                    for (const std::size_t *j = first; j != last; ++j) {
+                        fail(jobs[*j], err);
                     }
                     return;
                 }
                 fresh[g] = dense;
             }
-            for (std::size_t j : group) {
-                jobs[j].dense = dense;
+            for (const std::size_t *j = first; j != last; ++j) {
+                jobs[*j].dense = dense;
             }
-            if (group.size() == 1) {
+            if (single) {
                 stepsTwoThree(lead);
             }
         });
     // Jobs whose group failed Step 1 already hold their invalid result.
-    if (!shared_jobs.empty()) {
-        parallel::parallelFor(
-            threadCount(shared_jobs.size()), shared_jobs.size(),
-            [&](std::size_t i) {
-                Job &job = jobs[shared_jobs[i]];
-                if (job.dense) {
-                    stepsTwoThree(job);
-                }
-            });
-    }
+    const std::int64_t pooled_jobs =
+        runWave(*this, shared_jobs.size(), [&](std::size_t i) {
+            Job &job = jobs[shared_jobs[i]];
+            if (job.dense) {
+                stepsTwoThree(job);
+            }
+        });
     {
         std::vector<EvalCache::DenseEntry> fresh_dense;
-        for (std::size_t g = 0; g < groups.size(); ++g) {
+        for (std::size_t g = 0; g < group_count; ++g) {
             if (fresh[g]) {
-                const Job &lead = jobs[groups[g].front()];
+                const Job &lead = jobs[group_jobs[group_begin[g]]];
                 fresh_dense.push_back({lead.key.densePrefix(),
                                        lead.dense_hash,
                                        std::move(fresh[g])});
@@ -294,11 +386,33 @@ BatchEvaluator::evaluateBatch(const std::vector<EvalPoint> &points,
         }
     }
 
-    // 4. Scatter the deduplicated results back to input order.
+    if (stats) {
+        stats->points = static_cast<std::int64_t>(n);
+        stats->unique_points = static_cast<std::int64_t>(jobs.size());
+        stats->dense_groups = static_cast<std::int64_t>(group_count);
+        stats->pooled_groups = pooled_groups;
+        stats->pooled_jobs = pooled_jobs;
+    }
+
+    // 4. Hand back the deduplicated results in input order.
+    std::vector<std::shared_ptr<const EvalResult>> results;
+    results.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        results.push_back(jobs[point_to_job[i]].result);
+    }
+    return results;
+}
+
+std::vector<EvalResult>
+BatchEvaluator::evaluateBatch(const std::vector<EvalPoint> &points,
+                              BatchStats *stats) const
+{
+    std::vector<std::shared_ptr<const EvalResult>> shared =
+        evaluateShared(points, stats);
     std::vector<EvalResult> results;
-    results.reserve(points.size());
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        results.push_back(*jobs[point_to_job[i]].result);
+    results.reserve(shared.size());
+    for (const auto &result : shared) {
+        results.push_back(*result);
     }
     return results;
 }

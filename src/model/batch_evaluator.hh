@@ -7,29 +7,45 @@
  * different sweep axes) and shared Step-1 dense prefixes (many SAF
  * specifications over one tile shape). `BatchEvaluator` exploits both:
  * it deduplicates points by `EvalKey`, groups the survivors by
- * `DenseKey` so each dense dataflow analysis runs once, then fans the
- * groups out across the persistent worker pool (common/thread_pool.hh,
- * the same pool the search strategies ride) in one chunk-scheduled
- * wave: each group task fetches or computes its Step-1 dense traffic,
- * and a one-point group then runs the sparse/micro-architecture steps
- * in the same task. The points of larger groups run those steps in a
- * second wave, one task per point; a batch of one-point groups (every
- * mapper batch, which carries a single SAF spec) never starts it. A
- * one-point group whose dense traffic is not cached takes the cold
+ * `DenseKey` so each dense dataflow analysis runs once (both by
+ * sorting flat vectors on hashes computed once per point), then runs
+ * the groups in one chunk-scheduled wave: each group task fetches or
+ * computes its Step-1 dense traffic, and a one-point group then runs
+ * the sparse/micro-architecture steps in the same task. The points of
+ * larger groups run those steps in a second wave, one task per point;
+ * a batch of one-point groups (every mapper batch, which carries a
+ * single SAF spec) never starts it.
+ *
+ * A wave reaches the persistent worker pool (common/thread_pool.hh)
+ * only when its work pays for the wake-up: the first item runs on the
+ * calling thread and is timed, and the rest are handed to the pool
+ * only when that time times their count exceeds a few pool round
+ * trips; otherwise they run inline too. A mapper's annealing round of
+ * 8 cheap candidates therefore never leaves the caller, while a
+ * daemon's 64-mapping batch or an actual-data batch fans out.
+ * `BatchStats` counts what reached the pool.
+ *
+ * A one-point group whose dense traffic is not cached takes the cold
  * `Engine::evaluate` path, which moves the dense traffic into the
  * result instead of copying it; the cache's fresh dense entry is then
  * an aliasing pointer to that result's own `dense` member instead of
  * a second copy of the traffic (the cache copies the traffic out only
- * if the result level drops that result). Every key is hashed once
- * per batch, workers write only their own slots, and cache insertions
- * are buffered and merged into the `EvalCache` shards in bulk after
- * the waves. All lookups and computations go through a shared
- * `EvalCache`, so repeated `evaluateBatch` calls — and any mapper
- * sharing the cache — keep hitting.
+ * if the result level drops that result). Tasks write only their own
+ * slots, and cache insertions are buffered and merged into the
+ * `EvalCache` shards in bulk after the waves. All lookups and
+ * computations go through a shared `EvalCache`, so repeated batches —
+ * and any mapper sharing the cache — keep hitting.
+ *
+ * `evaluateShared` is the core: it hands back shared, immutable
+ * results (the objects the cache holds), so a search driver reads
+ * each candidate's metrics without copying it; `Mapper` copies only
+ * its final incumbent. `evaluateBatch` and `evaluateMappings` copy
+ * the results out for callers that want values.
  *
  * Results are bit-identical to calling `Engine::evaluate` on every
- * point sequentially: deduplicated points receive copies of the same
- * `EvalResult` object, and steps 2-3 always run on the exact Step-1
+ * point sequentially, whether a wave ran inline or on the pool:
+ * deduplicated points receive the same `EvalResult` object (or copies
+ * of it), and steps 2-3 always run on the exact Step-1
  * output they would have computed locally. (As everywhere in the
  * cache subsystem, identity is judged by `EvalKey`, so the guarantee
  * holds up to 64-bit signature collisions — ~2^-64 per pair of
@@ -83,6 +99,12 @@ struct BatchStats
     /** Distinct Step-1 prefixes among points the result cache did not
      *  already hold (0 for a batch of pure repeats). */
     std::int64_t dense_groups = 0;
+    /** Dense groups handed to the worker pool instead of run on the
+     *  calling thread (0 when the batch was too cheap to fan out). */
+    std::int64_t pooled_groups = 0;
+    /** Second-wave jobs (points of multi-point dense groups) handed
+     *  to the worker pool. */
+    std::int64_t pooled_jobs = 0;
 };
 
 /**
@@ -110,8 +132,10 @@ class BatchEvaluator
                         const SafSpec &safs) const;
 
     /**
-     * Evaluate a batch. Returns one result per input point, in input
-     * order, each bit-identical to `engine().evaluate` on that point.
+     * Evaluate a batch, sharing the results instead of copying them.
+     * Returns one result per input point, in input order, each
+     * bit-identical to `engine().evaluate` on that point; repeated
+     * points share one result object, which the cache may hold too.
      * Invalid mappings (capacity overflow) come back as results with
      * `valid == false`. A malformed mapping that makes the engine
      * throw `FatalError` loses only its own result: every point that
@@ -123,6 +147,14 @@ class BatchEvaluator
      * @param points evaluation points (pointers must be non-null).
      * @param stats optional out-parameter for work-sharing accounting;
      *        failed points are counted like any other.
+     */
+    std::vector<std::shared_ptr<const EvalResult>>
+    evaluateShared(const std::vector<EvalPoint> &points,
+                   BatchStats *stats = nullptr) const;
+
+    /**
+     * `evaluateShared` with each result copied out: the same results,
+     * order, error contract and stats.
      */
     std::vector<EvalResult>
     evaluateBatch(const std::vector<EvalPoint> &points,

@@ -105,13 +105,11 @@ ServiceClient::close()
 }
 
 std::pair<FrameType, std::vector<std::uint8_t>>
-ServiceClient::roundTrip(FrameType type,
-                         const std::vector<std::uint8_t> &payload)
+ServiceClient::roundTrip(const std::vector<std::uint8_t> &frame)
 {
     if (fd_ < 0) {
         throw ServiceError("client is not connected");
     }
-    std::vector<std::uint8_t> frame = encodeFrame(type, payload);
     writeFullOrThrow(fd_, frame.data(), frame.size());
 
     std::uint8_t header[kFrameHeaderBytes];
@@ -130,11 +128,10 @@ ServiceClient::roundTrip(FrameType type,
 }
 
 std::vector<std::uint8_t>
-ServiceClient::expect(FrameType request,
-                      const std::vector<std::uint8_t> &payload,
+ServiceClient::expect(const std::vector<std::uint8_t> &frame,
                       FrameType expected)
 {
-    auto [type, body] = roundTrip(request, payload);
+    auto [type, body] = roundTrip(frame);
     if (type != expected) {
         throw ServiceError(
             "unexpected response frame type " +
@@ -146,14 +143,15 @@ ServiceClient::expect(FrameType request,
 void
 ServiceClient::ping()
 {
-    expect(FrameType::kPing, {}, FrameType::kPong);
+    expect(encodeFrame(FrameType::kPing, {}), FrameType::kPong);
 }
 
 std::vector<std::string>
 ServiceClient::listContexts()
 {
     std::vector<std::uint8_t> body =
-        expect(FrameType::kListContexts, {}, FrameType::kContextList);
+        expect(encodeFrame(FrameType::kListContexts, {}),
+               FrameType::kContextList);
     WireReader r(body.data(), body.size());
     return ContextListReply::decodePayload(r).names;
 }
@@ -167,7 +165,7 @@ ServiceClient::evaluateBatch(const std::string &context,
     req.context = context;
     req.mappings = mappings;
     std::vector<std::uint8_t> body = expect(
-        FrameType::kEvaluateBatch, req.encodePayload(),
+        encodeFrame(FrameType::kEvaluateBatch, req),
         FrameType::kEvalResults);
     WireReader r(body.data(), body.size());
     EvaluateBatchReply reply = EvaluateBatchReply::decodePayload(r);
@@ -194,7 +192,7 @@ ServiceClient::search(const std::string &context,
     req.threads = options.threads;
     req.use_warm_start = options.use_warm_start;
     std::vector<std::uint8_t> body = expect(
-        FrameType::kSearch, req.encodePayload(), FrameType::kSearchResult);
+        encodeFrame(FrameType::kSearch, req), FrameType::kSearchResult);
     WireReader r(body.data(), body.size());
     return SearchReply::decodePayload(r);
 }
@@ -202,8 +200,9 @@ ServiceClient::search(const std::string &context,
 CacheStatsReply
 ServiceClient::cacheStats()
 {
-    std::vector<std::uint8_t> body = expect(
-        FrameType::kCacheStats, {}, FrameType::kCacheStatsResult);
+    std::vector<std::uint8_t> body =
+        expect(encodeFrame(FrameType::kCacheStats, {}),
+               FrameType::kCacheStatsResult);
     WireReader r(body.data(), body.size());
     return CacheStatsReply::decodePayload(r);
 }
@@ -211,7 +210,7 @@ ServiceClient::cacheStats()
 void
 ServiceClient::shutdownServer()
 {
-    expect(FrameType::kShutdown, {}, FrameType::kAck);
+    expect(encodeFrame(FrameType::kShutdown, {}), FrameType::kAck);
 }
 
 } // namespace sparseloop

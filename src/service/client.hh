@@ -96,15 +96,14 @@ class ServiceClient
     void shutdownServer();
 
   private:
-    /** Send one frame, read one response; throws ServiceError on a
-     *  kError reply or any transport failure. */
+    /** Send one encoded frame, read one response; throws
+     *  ServiceError on a kError reply or any transport failure. */
     std::pair<FrameType, std::vector<std::uint8_t>>
-    roundTrip(FrameType type, const std::vector<std::uint8_t> &payload);
+    roundTrip(const std::vector<std::uint8_t> &frame);
 
     /** roundTrip that insists on @p expected. */
     std::vector<std::uint8_t>
-    expect(FrameType request, const std::vector<std::uint8_t> &payload,
-           FrameType expected);
+    expect(const std::vector<std::uint8_t> &frame, FrameType expected);
 
     int fd_ = -1;
 };

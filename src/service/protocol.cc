@@ -9,23 +9,37 @@
 
 namespace sparseloop {
 
-std::vector<std::uint8_t>
-encodeFrame(FrameType type, const std::vector<std::uint8_t> &payload)
+void
+beginFrame(WireWriter &w, FrameType type)
 {
-    if (payload.size() > kMaxFramePayload) {
+    w.u32(kFrameMagic);
+    w.u16(kProtocolVersion);
+    w.u16(static_cast<std::uint16_t>(type));
+    w.u32(0);  // length, patched by finishFrame
+}
+
+std::vector<std::uint8_t>
+finishFrame(WireWriter &w)
+{
+    const std::size_t payload = w.size() - kFrameHeaderBytes;
+    if (payload > kMaxFramePayload) {
         throw ProtocolError("frame payload of " +
-                            std::to_string(payload.size()) +
+                            std::to_string(payload) +
                             " bytes exceeds the " +
                             std::to_string(kMaxFramePayload) +
                             "-byte bound");
     }
-    WireWriter w;
-    w.u32(kFrameMagic);
-    w.u16(kProtocolVersion);
-    w.u16(static_cast<std::uint16_t>(type));
-    w.u32(static_cast<std::uint32_t>(payload.size()));
-    w.bytes(payload.data(), payload.size());
+    w.patchU32(8, static_cast<std::uint32_t>(payload));
     return w.take();
+}
+
+std::vector<std::uint8_t>
+encodeFrame(FrameType type, const std::vector<std::uint8_t> &payload)
+{
+    WireWriter w;
+    beginFrame(w, type);
+    w.bytes(payload.data(), payload.size());
+    return finishFrame(w);
 }
 
 FrameHeader
@@ -63,16 +77,14 @@ decodeFrameHeader(const std::uint8_t *bytes)
 // Payload schemas
 // ---------------------------------------------------------------------------
 
-std::vector<std::uint8_t>
-EvaluateBatchRequest::encodePayload() const
+void
+EvaluateBatchRequest::encodeTo(WireWriter &w) const
 {
-    WireWriter w;
     w.str(context);
     w.u32(static_cast<std::uint32_t>(mappings.size()));
     for (const Mapping &m : mappings) {
         encode(w, m);
     }
-    return w.take();
 }
 
 EvaluateBatchRequest
@@ -89,10 +101,9 @@ EvaluateBatchRequest::decodePayload(WireReader &r)
     return req;
 }
 
-std::vector<std::uint8_t>
-EvaluateBatchReply::encodePayload() const
+void
+EvaluateBatchReply::encodeTo(WireWriter &w) const
 {
-    WireWriter w;
     w.u32(static_cast<std::uint32_t>(results.size()));
     for (const EvalResult &result : results) {
         encode(w, result);
@@ -100,7 +111,6 @@ EvaluateBatchReply::encodePayload() const
     w.i64(points);
     w.i64(unique_points);
     w.i64(dense_groups);
-    return w.take();
 }
 
 EvaluateBatchReply
@@ -119,10 +129,9 @@ EvaluateBatchReply::decodePayload(WireReader &r)
     return reply;
 }
 
-std::vector<std::uint8_t>
-SearchRequest::encodePayload() const
+void
+SearchRequest::encodeTo(WireWriter &w) const
 {
-    WireWriter w;
     w.str(context);
     w.u32(samples);
     w.u64(seed);
@@ -130,7 +139,6 @@ SearchRequest::encodePayload() const
     w.u32(batch_size);
     w.u32(threads);
     w.boolean(use_warm_start);
-    return w.take();
 }
 
 SearchRequest
@@ -153,10 +161,9 @@ SearchRequest::decodePayload(WireReader &r)
     return req;
 }
 
-std::vector<std::uint8_t>
-SearchReply::encodePayload() const
+void
+SearchReply::encodeTo(WireWriter &w) const
 {
-    WireWriter w;
     w.boolean(found);
     w.u8(status);
     encode(w, mapping);
@@ -165,7 +172,6 @@ SearchReply::encodePayload() const
     w.i64(candidates_valid);
     w.i64(warm_start_candidates);
     w.str(strategy);
-    return w.take();
 }
 
 SearchReply
@@ -184,10 +190,9 @@ SearchReply::decodePayload(WireReader &r)
     return reply;
 }
 
-std::vector<std::uint8_t>
-CacheStatsReply::encodePayload() const
+void
+CacheStatsReply::encodeTo(WireWriter &w) const
 {
-    WireWriter w;
     w.i64(result_hits);
     w.i64(result_misses);
     w.i64(dense_hits);
@@ -197,7 +202,6 @@ CacheStatsReply::encodePayload() const
     w.u32(contexts);
     w.u32(warm_elites);
     w.u64(restored_entries);
-    return w.take();
 }
 
 CacheStatsReply
@@ -217,15 +221,13 @@ CacheStatsReply::decodePayload(WireReader &r)
     return reply;
 }
 
-std::vector<std::uint8_t>
-ContextListReply::encodePayload() const
+void
+ContextListReply::encodeTo(WireWriter &w) const
 {
-    WireWriter w;
     w.u32(static_cast<std::uint32_t>(names.size()));
     for (const std::string &name : names) {
         w.str(name);
     }
-    return w.take();
 }
 
 ContextListReply
@@ -241,12 +243,10 @@ ContextListReply::decodePayload(WireReader &r)
     return reply;
 }
 
-std::vector<std::uint8_t>
-ErrorReply::encodePayload() const
+void
+ErrorReply::encodeTo(WireWriter &w) const
 {
-    WireWriter w;
     w.str(message);
-    return w.take();
 }
 
 ErrorReply

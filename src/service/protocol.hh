@@ -21,8 +21,11 @@
  * client surfaces them as `ServiceError` exceptions.
  *
  * Request/response payload schemas live in the structs below; each has
- * an `encodePayload` and a static `decodePayload` that must consume
- * the payload exactly (trailing bytes are a protocol error).
+ * an `encodeTo` (append the payload to a writer, which is how
+ * `encodeFrame` puts it behind the header without a second buffer),
+ * an `encodePayload` (the payload bytes alone), and a static
+ * `decodePayload` that must consume the payload exactly (trailing
+ * bytes are a protocol error).
  */
 
 #ifndef SPARSELOOP_SERVICE_PROTOCOL_HH
@@ -76,10 +79,45 @@ struct FrameHeader
     std::uint32_t payload_size = 0;
 };
 
+/** Write a frame header for @p type with a zero length field; the
+ *  payload follows in the same writer, then `finishFrame`. */
+void beginFrame(WireWriter &w, FrameType type);
+
+/** Patch the length of the frame `beginFrame` started in @p w and
+ *  take its bytes. Throws `ProtocolError` when the payload exceeds
+ *  `kMaxFramePayload`. */
+std::vector<std::uint8_t> finishFrame(WireWriter &w);
+
 /** Serialize one complete frame (header + payload). */
 std::vector<std::uint8_t> encodeFrame(FrameType type,
                                       const std::vector<std::uint8_t>
                                           &payload);
+
+/**
+ * Serialize one complete frame whose payload is @p message (one of
+ * the payload schemas below), encoded straight behind the header in
+ * one buffer instead of copied there from a payload buffer. The bytes
+ * equal `encodeFrame(type, message.encodePayload())`.
+ */
+template <typename Message>
+std::vector<std::uint8_t>
+encodeFrame(FrameType type, const Message &message)
+{
+    WireWriter w;
+    beginFrame(w, type);
+    message.encodeTo(w);
+    return finishFrame(w);
+}
+
+/** A payload schema's bytes on their own (`message.encodeTo`). */
+template <typename Message>
+std::vector<std::uint8_t>
+encodePayloadOf(const Message &message)
+{
+    WireWriter w;
+    message.encodeTo(w);
+    return w.take();
+}
 
 /**
  * Decode and validate a 12-byte header. Throws `ProtocolError` on a
@@ -97,7 +135,11 @@ struct EvaluateBatchRequest
     std::string context;
     std::vector<Mapping> mappings;
 
-    std::vector<std::uint8_t> encodePayload() const;
+    void encodeTo(WireWriter &w) const;
+    std::vector<std::uint8_t> encodePayload() const
+    {
+        return encodePayloadOf(*this);
+    }
     static EvaluateBatchRequest decodePayload(WireReader &r);
 };
 
@@ -110,7 +152,11 @@ struct EvaluateBatchReply
     std::int64_t unique_points = 0;
     std::int64_t dense_groups = 0;
 
-    std::vector<std::uint8_t> encodePayload() const;
+    void encodeTo(WireWriter &w) const;
+    std::vector<std::uint8_t> encodePayload() const
+    {
+        return encodePayloadOf(*this);
+    }
     static EvaluateBatchReply decodePayload(WireReader &r);
 };
 
@@ -135,7 +181,11 @@ struct SearchRequest
      */
     bool use_warm_start = false;
 
-    std::vector<std::uint8_t> encodePayload() const;
+    void encodeTo(WireWriter &w) const;
+    std::vector<std::uint8_t> encodePayload() const
+    {
+        return encodePayloadOf(*this);
+    }
     static SearchRequest decodePayload(WireReader &r);
 };
 
@@ -152,7 +202,11 @@ struct SearchReply
     std::int64_t warm_start_candidates = 0;
     std::string strategy;
 
-    std::vector<std::uint8_t> encodePayload() const;
+    void encodeTo(WireWriter &w) const;
+    std::vector<std::uint8_t> encodePayload() const
+    {
+        return encodePayloadOf(*this);
+    }
     static SearchReply decodePayload(WireReader &r);
 };
 
@@ -170,7 +224,11 @@ struct CacheStatsReply
     /** Entries restored from the snapshot at daemon start. */
     std::uint64_t restored_entries = 0;
 
-    std::vector<std::uint8_t> encodePayload() const;
+    void encodeTo(WireWriter &w) const;
+    std::vector<std::uint8_t> encodePayload() const
+    {
+        return encodePayloadOf(*this);
+    }
     static CacheStatsReply decodePayload(WireReader &r);
 };
 
@@ -179,7 +237,11 @@ struct ContextListReply
 {
     std::vector<std::string> names;
 
-    std::vector<std::uint8_t> encodePayload() const;
+    void encodeTo(WireWriter &w) const;
+    std::vector<std::uint8_t> encodePayload() const
+    {
+        return encodePayloadOf(*this);
+    }
     static ContextListReply decodePayload(WireReader &r);
 };
 
@@ -188,7 +250,11 @@ struct ErrorReply
 {
     std::string message;
 
-    std::vector<std::uint8_t> encodePayload() const;
+    void encodeTo(WireWriter &w) const;
+    std::vector<std::uint8_t> encodePayload() const
+    {
+        return encodePayloadOf(*this);
+    }
     static ErrorReply decodePayload(WireReader &r);
 };
 

@@ -196,8 +196,7 @@ ServiceServer::connectionLoop(int fd)
                 // The stream is out of sync (or a foreign client):
                 // answer once, then drop the connection.
                 ErrorReply reply{e.what()};
-                auto frame = encodeFrame(FrameType::kError,
-                                         reply.encodePayload());
+                auto frame = encodeFrame(FrameType::kError, reply);
                 writeFull(fd, frame.data(), frame.size());
                 break;
             }

@@ -18,7 +18,7 @@ std::vector<std::uint8_t>
 errorFrame(const std::string &message)
 {
     ErrorReply reply{message};
-    return encodeFrame(FrameType::kError, reply.encodePayload());
+    return encodeFrame(FrameType::kError, reply);
 }
 
 std::vector<std::uint8_t>
@@ -46,7 +46,7 @@ handleEvaluateBatch(const ServiceRegistry &registry, WireReader &r,
     reply.unique_points = stats.unique_points;
     reply.dense_groups = stats.dense_groups;
     effects.wrote_cache = true;
-    return encodeFrame(FrameType::kEvalResults, reply.encodePayload());
+    return encodeFrame(FrameType::kEvalResults, reply);
 }
 
 std::vector<std::uint8_t>
@@ -84,7 +84,7 @@ handleSearch(const ServiceRegistry &registry, WireReader &r,
     reply.warm_start_candidates = result.warm_start_candidates;
     reply.strategy = std::move(result.strategy);
     effects.wrote_cache = true;
-    return encodeFrame(FrameType::kSearchResult, reply.encodePayload());
+    return encodeFrame(FrameType::kSearchResult, reply);
 }
 
 std::vector<std::uint8_t>
@@ -103,8 +103,7 @@ handleCacheStats(const ServiceRegistry &registry,
     reply.warm_elites =
         static_cast<std::uint32_t>(registry.warmStart().size());
     reply.restored_entries = restored_entries;
-    return encodeFrame(FrameType::kCacheStatsResult,
-                       reply.encodePayload());
+    return encodeFrame(FrameType::kCacheStatsResult, reply);
 }
 
 } // namespace
@@ -127,8 +126,7 @@ handleRequest(const ServiceRegistry &registry, FrameType type,
             return handleCacheStats(registry, restored_entries);
         case FrameType::kListContexts: {
             ContextListReply reply{registry.names()};
-            return encodeFrame(FrameType::kContextList,
-                               reply.encodePayload());
+            return encodeFrame(FrameType::kContextList, reply);
         }
         case FrameType::kShutdown:
             effects.shutdown_requested = true;

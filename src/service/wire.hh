@@ -91,6 +91,16 @@ class WireWriter
         }
     }
 
+    /** Overwrite 4 already-written bytes at @p offset with @p v (a
+     *  length field reserved before its body was encoded). */
+    void patchU32(std::size_t offset, std::uint32_t v)
+    {
+        if (offset > len_ || len_ - offset < 4) {
+            throw WireError("patch past the written bytes");
+        }
+        storeLE(buf_.data() + offset, v);
+    }
+
     /** The bytes written so far. Writing may continue; the returned
      *  reference is exact only until the next write. */
     const std::vector<std::uint8_t> &buffer();

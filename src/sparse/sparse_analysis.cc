@@ -162,38 +162,6 @@ SparseAnalysis::eliminationProbabilityScratch(
     return 1.0 - p_keep;
 }
 
-ActionBreakdown
-SparseAnalysis::filterByIntersections(int t, int boundary,
-                                      double base) const
-{
-    // Gather applicable SAFs outer-first so eliminations compose the
-    // way propagation does (Sec. 5.3.4).
-    std::vector<const IntersectionSaf *> applicable;
-    for (const auto &saf : safs_.intersections) {
-        if (saf.target == t && saf.level < boundary) {
-            applicable.push_back(&saf);
-        }
-    }
-    std::sort(applicable.begin(), applicable.end(),
-              [](const IntersectionSaf *a, const IntersectionSaf *b) {
-                  return a->level < b->level;
-              });
-    ActionBreakdown out;
-    double remaining = base;
-    for (const auto *saf : applicable) {
-        double p = eliminationProbability(*saf);
-        double elim = remaining * p;
-        if (saf->kind == SafKind::Skip) {
-            out.skipped += elim;
-        } else {
-            out.gated += elim;
-        }
-        remaining -= elim;
-    }
-    out.actual = remaining;
-    return out;
-}
-
 double
 SparseAnalysis::effectualFraction() const
 {
@@ -385,14 +353,13 @@ SparseAnalysis::analyze(const DenseTraffic &dense) const
     out.effectual_computes = dense.computes * effectual_frac;
 
     double compute_total_frac = remaining + comp_gated + comp_skipped;
-    double compute_actual_frac =
-        compute_total_frac > 0.0 ? remaining / compute_total_frac : 1.0;
-    (void)compute_actual_frac;
 
-    // Allocation-free filterByIntersections over the cached SAF table.
-    // The filtered subset preserves specification order, and std::sort
-    // with the same level comparator over the same key sequence
-    // produces the same permutation the per-call path produced.
+    // Split a dense count into (actual, gated, skipped) by the SAFs
+    // targeting tensor t above boundary level `boundary`, applied
+    // outer-first so eliminations compose the way propagation does
+    // (Sec. 5.3.4). Allocation-free over the cached SAF table: the
+    // filtered subset preserves specification order, and std::sort
+    // with a level comparator orders it the same way on every call.
     auto filter = [&](int t, int boundary, double base) {
         SmallVector<const CachedSaf *, 8> applicable;
         for (const CachedSaf &c : cached) {

@@ -187,14 +187,6 @@ class SparseAnalysis
                                              &dim_tiles,
                                          Shape &extents) const;
 
-    /**
-     * Split a dense count into (actual, gated, skipped) according to
-     * the SAFs targeting tensor @p t that apply above boundary level
-     * @p boundary, starting from @p base actual actions.
-     */
-    ActionBreakdown filterByIntersections(int t, int boundary,
-                                          double base) const;
-
     /** Density of tensor t (1 when dense). */
     double density(int t) const;
 };

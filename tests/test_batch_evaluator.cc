@@ -5,15 +5,19 @@
  * must deduplicate, dense prefixes must group, caches must be shared,
  * cold one-point groups must store dense entries that alias their
  * results and outlive their eviction without pinning them, null
- * points must throw, and malformed mappings must come back invalid
- * without touching the other results.
+ * points must throw, malformed mappings must come back invalid
+ * without touching the other results, and only batches with enough
+ * work may reach the worker pool.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
+#include "common/thread_pool.hh"
+#include "density/actual_data.hh"
 #include "mapper/mapper.hh"
 #include "model/batch_evaluator.hh"
+#include "tensor/generate.hh"
 #include "workload/builders.hh"
 
 namespace sparseloop {
@@ -399,6 +403,107 @@ TEST(BatchEvaluator, MalformedSharedPrefixFailsEveryJobInItsGroup)
     EvalCacheStats cached = evaluator.cache().stats();
     EXPECT_EQ(cached.result_entries, sweep.safs.size());
     EXPECT_EQ(cached.dense_entries, 1u);
+}
+
+/** Every result of @p points bit-identical to `Engine::evaluate`. */
+void
+expectMatchesEngine(const Engine &engine,
+                    const std::vector<EvalPoint> &points,
+                    const std::vector<EvalResult> &results)
+{
+    ASSERT_EQ(results.size(), points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const EvalPoint &p = points[i];
+        EXPECT_TRUE(bitIdentical(
+            results[i], engine.evaluate(*p.workload, *p.mapping, *p.safs)))
+            << "point " << i;
+    }
+}
+
+TEST(BatchEvaluator, ExpensiveBatchesFanOutToThePool)
+{
+    // Actual-data densities make every evaluation enumerate the
+    // operands' intersections: milliseconds of work per point, far
+    // above what a pool wake-up costs.
+    Architecture arch = batchArch();
+    Sweep sweep(arch);
+    sweep.workload.setDensity(
+        "A", makeActualDataDensity(std::make_shared<const SparseTensor>(
+                 generateUniform({32, 32}, 0.2, /*seed=*/1))));
+    sweep.workload.setDensity(
+        "B", makeActualDataDensity(std::make_shared<const SparseTensor>(
+                 generateUniform({32, 32}, 0.2, /*seed=*/2))));
+    Engine engine(arch);
+    BatchEvaluatorOptions opts;
+    opts.num_threads = 4;
+    const bool pooled = parallel::hardwareThreads() > 1;
+
+    // One job per dense group: the first wave fans out after its
+    // first, timed group.
+    std::vector<EvalPoint> singles;
+    for (const Mapping &m : sweep.mappings) {
+        singles.push_back({&sweep.workload, &m, &sweep.safs[0]});
+    }
+    {
+        BatchEvaluator evaluator(engine, nullptr, opts);
+        BatchStats stats;
+        std::vector<EvalResult> got =
+            evaluator.evaluateBatch(singles, &stats);
+        expectMatchesEngine(engine, singles, got);
+        EXPECT_EQ(stats.dense_groups,
+                  static_cast<std::int64_t>(singles.size()));
+        if (pooled) {
+            EXPECT_EQ(stats.pooled_groups,
+                      static_cast<std::int64_t>(singles.size()) - 1);
+        }
+    }
+    // Every mapping under every SAF spec: steps 2-3 of the multi-job
+    // groups fan out in the second wave.
+    {
+        BatchEvaluator evaluator(engine, nullptr, opts);
+        BatchStats stats;
+        std::vector<EvalResult> got =
+            evaluator.evaluateBatch(sweep.points, &stats);
+        expectMatchesEngine(engine, sweep.points, got);
+        if (pooled) {
+            EXPECT_EQ(stats.pooled_jobs,
+                      static_cast<std::int64_t>(sweep.points.size()) - 1);
+        }
+    }
+}
+
+TEST(BatchEvaluator, CheapRoundIsIdenticalAtOneAndFourThreads)
+{
+    // A mapper-sized round: 8 cheap statistical-density candidates
+    // under one SAF spec, which may run entirely on the calling
+    // thread.
+    Architecture arch = batchArch();
+    Sweep sweep(arch);
+    MapSpace space(sweep.workload, arch);
+    std::vector<Mapping> mappings;
+    for (std::uint64_t seed = 0; seed < 8; ++seed) {
+        mappings.push_back(space.materialize(space.samplePoint(seed)));
+    }
+    std::vector<EvalPoint> points;
+    for (const Mapping &m : mappings) {
+        points.push_back({&sweep.workload, &m, &sweep.safs[0]});
+    }
+    Engine engine(arch);
+    std::vector<std::vector<EvalResult>> runs;
+    for (int threads : {1, 4}) {
+        BatchEvaluatorOptions opts;
+        opts.num_threads = threads;
+        BatchEvaluator evaluator(engine, nullptr, opts);
+        BatchStats stats;
+        runs.push_back(evaluator.evaluateBatch(points, &stats));
+        expectMatchesEngine(engine, points, runs.back());
+        if (threads == 1) {
+            EXPECT_EQ(stats.pooled_groups, 0);
+        }
+    }
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        EXPECT_TRUE(bitIdentical(runs[0][i], runs[1][i])) << "point " << i;
+    }
 }
 
 TEST(BatchEvaluator, ThreadCountClampsToJobs)

@@ -874,5 +874,38 @@ TEST(ServiceWireGolden, SnapshotFileBytes)
     expectGolden(bytes, 2085, 0x14709a2f2cf4a7beull);
 }
 
+TEST(ServiceWireGolden, MessageFramesEncodeInPlace)
+{
+    // `encodeFrame(type, message)` writes the payload behind a
+    // reserved header; its bytes must match the pinned frames above.
+    GoldenInputs batch_in(0x601D3);
+    EvaluateBatchReply batch;
+    for (int i = 0; i < 64; ++i) {
+        batch.results.push_back(batch_in.result());
+    }
+    batch.points = 64;
+    batch.unique_points = 48;
+    batch.dense_groups = 40;
+    expectGolden(encodeFrame(FrameType::kEvalResults, batch), 80987,
+                 0xec2ed868b1fa9a20ull);
+
+    GoldenInputs search_in(0x601D4);
+    SearchReply search;
+    search.found = true;
+    search.status = 1;
+    search.mapping = search_in.mapping();
+    search.eval = search_in.result();
+    search.candidates_evaluated = 2000;
+    search.candidates_valid = 1876;
+    search.warm_start_candidates = 4;
+    search.strategy = "annealing";
+    expectGolden(encodeFrame(FrameType::kSearchResult, search), 1309,
+                 0xc8188c29b2213299ull);
+
+    ErrorReply error{"boom"};
+    EXPECT_EQ(encodeFrame(FrameType::kError, error),
+              encodeFrame(FrameType::kError, error.encodePayload()));
+}
+
 } // namespace
 } // namespace sparseloop
