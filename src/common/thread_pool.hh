@@ -36,10 +36,11 @@
  * A region still costs a wake-up and a join (an empty
  * `parallelFor(4, n)` measured 6-10 us on x86 hosts), which is more
  * than a small batch of 2-3 us evaluations saves. So callers submit
- * only work worth it: `BatchEvaluator` runs the first item of a wave
- * on the calling thread, times it, and hands the rest to the pool only
- * above a few round trips of estimated work (`kFanOutMinWork`), so an
- * annealing round of 8 cheap candidates never wakes the helpers. The
+ * only work worth it: `BatchEvaluator` runs the items of a wave on the
+ * calling thread one at a time, timed, and hands the rest to the pool
+ * once their estimated work exceeds a few round trips
+ * (`kFanOutMinWork`), so an annealing round of 8 cheap candidates
+ * usually leaves the helpers asleep. The
  * driver above it reads the batch's shared results instead of copies,
  * and the mapspace builds each candidate from a flat per-tiling factor
  * matrix, so little serial work is left around the engine calls.

@@ -49,54 +49,47 @@ using Clock = std::chrono::steady_clock;
 
 /**
  * Least estimated work, in engine time, worth a wake-up of the worker
- * pool. A wave runs its first item on the calling thread and times
- * it; the remaining items go to the pool only when that time times
- * their count exceeds this, and otherwise run inline too.
+ * pool. A wave runs its items on the calling thread one at a time and
+ * hands the remaining ones to the pool as soon as their estimated work
+ * (mean time per item so far x items left) exceeds this.
  *
- * Measured with a standalone harness (cold `Engine::evaluate` on
- * SCNN and Eyeriss V2 PE candidates of ResNet-50 layers, inline
- * against `parallelFor(4, n)`, medians of 301 runs) on a 4-thread x86
- * container: a pool round trip added 7-10 us at every size, and
- * 2.5-3 us of work per cold point. That container's CPU quota is one
- * core (four threads of pure arithmetic ran no faster than one), so
- * the pool could not win there at any size. The constant is taken
- * from a 4-core host instead, where batches of 8-64 cold candidates
- * ran 0.73-1.03x as fast at 4 threads as at 1, and a prototype that
- * ran fewer than 16 cold groups (about 40 us) inline won on every
- * workload. Rounds of 8 stay on the caller; a daemon's 64-mapping
- * batch and actual-data evaluations (milliseconds each) fan out.
+ * The value is provisional. An empty `parallelFor(4, n)` round trip
+ * cost 6-10 us on x86 hosts, and a cold `Engine::evaluate` of a
+ * ResNet-50 candidate on SCNN or Eyeriss V2 PE about 2.5 us, so 40 us
+ * is a few round trips, or about 16 cold candidates. No break-even
+ * has been measured on a host whose cores run in parallel: the only
+ * host it was timed on, a 4-thread container, had one core of CPU
+ * quota, where the pool cannot win at any size.
  */
 constexpr Clock::duration kFanOutMinWork = std::chrono::microseconds(40);
 
 /**
- * Run body(i) for every i in [0, count): item 0 on the calling
- * thread, timed, then the rest either inline or, when their estimated
- * work exceeds `kFanOutMinWork` and @p threads allows it, as one
- * `parallelFor` on the pool. Returns the number of items handed to
- * the pool.
+ * Run body(i) for every i in [0, count). Items run on the calling
+ * thread in order, timed; after each one, when the mean time so far
+ * times the items left exceeds `kFanOutMinWork` and @p evaluator's
+ * thread count allows it, the rest go to the pool as one
+ * `parallelFor`. A cheap or failing item therefore cannot keep an
+ * expensive wave inline. Returns the number of items handed to the
+ * pool.
  */
 template <typename Body>
 std::int64_t
 runWave(const BatchEvaluator &evaluator, std::size_t count,
         const Body &body)
 {
-    if (count == 0) {
-        return 0;
-    }
-    const std::size_t rest = count - 1;
-    const int threads = evaluator.threadCount(rest);
+    const bool may_pool = evaluator.threadCount(count) > 1;
     const Clock::time_point start =
-        threads > 1 ? Clock::now() : Clock::time_point{};
-    body(0);
-    if (threads > 1 &&
-        (Clock::now() - start) * static_cast<Clock::rep>(rest) >
-            kFanOutMinWork) {
-        parallel::parallelFor(threads, rest,
-                              [&](std::size_t i) { body(i + 1); });
-        return static_cast<std::int64_t>(rest);
-    }
-    for (std::size_t i = 1; i < count; ++i) {
-        body(i);
+        may_pool ? Clock::now() : Clock::time_point{};
+    for (std::size_t done = 0; done < count;) {
+        body(done++);
+        const std::size_t rest = count - done;
+        if (may_pool && rest > 1 &&
+            (Clock::now() - start) * static_cast<Clock::rep>(rest) >
+                kFanOutMinWork * static_cast<Clock::rep>(done)) {
+            parallel::parallelFor(evaluator.threadCount(rest), rest,
+                                  [&](std::size_t i) { body(done + i); });
+            return static_cast<std::int64_t>(rest);
+        }
     }
     return 0;
 }
@@ -270,9 +263,9 @@ BatchEvaluator::evaluateShared(const std::vector<EvalPoint> &points,
     const std::size_t group_count = group_begin.size();
     group_begin.push_back(group_jobs.size());
 
-    // 3. One wave over the dense groups (see `runWave`: the first
-    //    group runs on the calling thread, and the rest reach the
-    //    persistent pool only when they carry enough work; chunked
+    // 3. One wave over the dense groups (see `runWave`: groups run on
+    //    the calling thread until the ones left are estimated to carry
+    //    enough work for the persistent pool; there, chunked
     //    claiming, prompt abort and rethrow on the first exception
     //    other than the `FatalError`s caught per job below).
     //    Each group fetches its Step-1 dense traffic from the cache or

@@ -17,12 +17,12 @@
  * single SAF spec) never starts it.
  *
  * A wave reaches the persistent worker pool (common/thread_pool.hh)
- * only when its work pays for the wake-up: the first item runs on the
- * calling thread and is timed, and the rest are handed to the pool
- * only when that time times their count exceeds a few pool round
- * trips; otherwise they run inline too. A mapper's annealing round of
- * 8 cheap candidates therefore never leaves the caller, while a
- * daemon's 64-mapping batch or an actual-data batch fans out.
+ * only when its work pays for the wake-up: items run on the calling
+ * thread one at a time, timed, and after each one the rest are handed
+ * to the pool if the mean time so far times their count exceeds a few
+ * pool round trips. A mapper's annealing round of 8 cheap candidates
+ * therefore usually stays on the caller, while an actual-data batch
+ * fans out after its first expensive item, wherever that item sorts.
  * `BatchStats` counts what reached the pool.
  *
  * A one-point group whose dense traffic is not cached takes the cold
@@ -100,7 +100,9 @@ struct BatchStats
      *  already hold (0 for a batch of pure repeats). */
     std::int64_t dense_groups = 0;
     /** Dense groups handed to the worker pool instead of run on the
-     *  calling thread (0 when the batch was too cheap to fan out). */
+     *  calling thread (0 when the batch was too cheap to fan out).
+     *  The pool still runs them inline when another submitter holds
+     *  it (see `parallel::parallelFor`). */
     std::int64_t pooled_groups = 0;
     /** Second-wave jobs (points of multi-point dense groups) handed
      *  to the worker pool. */

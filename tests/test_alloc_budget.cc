@@ -1,8 +1,9 @@
 /**
  * @file
- * Heap-allocation budgets of the search hot paths, counted by a
- * replacement global `operator new`: building a `MapSpace` and running
- * a 1-thread default annealing search of ResNet-50 conv1 on SCNN.
+ * Heap-allocation budgets of the search hot paths, counted by
+ * replacement global `operator new`s (plain and aligned): building a
+ * `MapSpace` and running a 1-thread default annealing search of
+ * ResNet-50 conv1 on SCNN.
  * The budgets catch a per-tiling or per-candidate allocation creeping
  * back into the mapspace, the batch layer or the mapper driver; each
  * one leaves some headroom over the measured count.
@@ -10,6 +11,7 @@
  * Not run under the sanitizers, whose runtimes replace the allocator.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -26,26 +28,62 @@ namespace {
 std::atomic<bool> g_counting{false};
 std::atomic<std::int64_t> g_allocations{0};
 
+/** Counts one allocation and returns @p size bytes at @p align. */
 void *
-countedAlloc(std::size_t size)
+countedAlloc(std::size_t size, std::size_t align = 0)
 {
     if (g_counting.load(std::memory_order_relaxed)) {
         g_allocations.fetch_add(1, std::memory_order_relaxed);
     }
-    if (void *p = std::malloc(size == 0 ? 1 : size)) {
-        return p;
+    size = size == 0 ? 1 : size;
+    void *p = nullptr;
+    if (align == 0) {
+        p = std::malloc(size);
+    } else {
+        // aligned_alloc wants a size that is a multiple of the
+        // alignment.
+        align = std::max(align, sizeof(void *));
+        p = std::aligned_alloc(align, (size + align - 1) / align * align);
     }
-    throw std::bad_alloc();
+    if (p == nullptr) {
+        throw std::bad_alloc();
+    }
+    return p;
 }
 
 } // namespace
 
+// Every replaceable allocating form, including the aligned ones that
+// SmallVector uses when it spills to the heap; the nothrow forms call
+// these.
 void *operator new(std::size_t size) { return countedAlloc(size); }
 void *operator new[](std::size_t size) { return countedAlloc(size); }
+void *
+operator new(std::size_t size, std::align_val_t align)
+{
+    return countedAlloc(size, static_cast<std::size_t>(align));
+}
+void *
+operator new[](std::size_t size, std::align_val_t align)
+{
+    return countedAlloc(size, static_cast<std::size_t>(align));
+}
 void operator delete(void *p) noexcept { std::free(p); }
 void operator delete[](void *p) noexcept { std::free(p); }
 void operator delete(void *p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+void operator delete(void *p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::align_val_t) noexcept { std::free(p); }
+void
+operator delete(void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+void
+operator delete[](void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
 
 namespace sparseloop {
 namespace {

@@ -472,6 +472,65 @@ TEST(BatchEvaluator, ExpensiveBatchesFanOutToThePool)
     }
 }
 
+TEST(BatchEvaluator, CheapFirstGroupDoesNotKeepExpensiveGroupsInline)
+{
+    // Dense groups run in dense-hash order, so the first one can be
+    // far cheaper than the rest: here a group whose dense traffic is
+    // cached (its task is one lookup) sorts ahead of three actual-data
+    // evaluations. The wave must still fan out once it has timed an
+    // expensive group.
+    Architecture arch = batchArch();
+    Sweep cheap(arch);
+    Sweep costly(arch);
+    costly.workload.setDensity(
+        "A", makeActualDataDensity(std::make_shared<const SparseTensor>(
+                 generateUniform({32, 32}, 0.2, /*seed=*/1))));
+    costly.workload.setDensity(
+        "B", makeActualDataDensity(std::make_shared<const SparseTensor>(
+                 generateUniform({32, 32}, 0.2, /*seed=*/2))));
+    Engine engine(arch);
+    auto denseHash = [&](const EvalPoint &p) {
+        return DenseKey{engine.signature(), p.workload->signature(),
+                        p.mapping->signature()}
+            .hash();
+    };
+    std::vector<EvalPoint> points;
+    std::uint64_t first_costly = ~std::uint64_t{0};
+    for (const Mapping &m : costly.mappings) {
+        points.push_back({&costly.workload, &m, &costly.safs[0]});
+        first_costly = std::min(first_costly, denseHash(points.back()));
+    }
+    MapSpace space(cheap.workload, arch);
+    std::vector<Mapping> candidates;
+    for (std::uint64_t seed = 0; seed < 64; ++seed) {
+        candidates.push_back(space.materialize(space.samplePoint(seed)));
+    }
+    EvalPoint lead{&cheap.workload, &candidates[0], &cheap.safs[0]};
+    for (const Mapping &m : candidates) {
+        EvalPoint p{&cheap.workload, &m, &cheap.safs[0]};
+        if (denseHash(p) < denseHash(lead)) {
+            lead = p;
+        }
+    }
+    ASSERT_LT(denseHash(lead), first_costly);
+
+    BatchEvaluatorOptions opts;
+    opts.num_threads = 4;
+    BatchEvaluator evaluator(engine, nullptr, opts);
+    evaluator.evaluate(*lead.workload, *lead.mapping, cheap.safs[0]);
+    for (std::size_t s = 1; s < 3; ++s) {
+        lead.safs = &cheap.safs[s];
+        points.insert(points.begin(), lead);
+    }
+    BatchStats stats;
+    std::vector<EvalResult> got = evaluator.evaluateBatch(points, &stats);
+    expectMatchesEngine(engine, points, got);
+    EXPECT_EQ(stats.dense_groups, 4);
+    if (parallel::hardwareThreads() > 1) {
+        EXPECT_GT(stats.pooled_groups, 0);
+    }
+}
+
 TEST(BatchEvaluator, CheapRoundIsIdenticalAtOneAndFourThreads)
 {
     // A mapper-sized round: 8 cheap statistical-density candidates
