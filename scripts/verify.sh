@@ -54,7 +54,7 @@ if [[ "${SPARSELOOP_SKIP_RELEASE:-0}" != "1" ]]; then
 fi
 
 if [[ "${SPARSELOOP_TSAN:-0}" == "1" ]]; then
-    echo "== ThreadSanitizer: pool/batch/differential/search suites =="
+    echo "== ThreadSanitizer: pool/batch/differential/search/memo suites =="
     tsan_dir="${build_dir}-tsan"
     cmake -B "${tsan_dir}" -S "${repo_root}" \
         -DCMAKE_BUILD_TYPE=Debug \
@@ -66,7 +66,7 @@ if [[ "${SPARSELOOP_TSAN:-0}" == "1" ]]; then
     # Serial on purpose: TSan instrumentation is memory-hungry, and a
     # bare -j before -R makes older ctest eat the filter.
     ctest --test-dir "${tsan_dir}" --output-on-failure \
-        -R 'test_(thread_pool|batch_evaluator|eval_cache|engine_differential|search_strategy|pareto_search|service_server|cache_persistence)'
+        -R 'test_(thread_pool|batch_evaluator|eval_cache|engine_differential|search_strategy|pareto_search|service_server|cache_persistence|mathutil|format|density)'
 fi
 
 if [[ "${SPARSELOOP_SKIP_PERF:-0}" != "1" ]]; then

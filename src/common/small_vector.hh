@@ -22,6 +22,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <iterator>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -164,6 +165,19 @@ class SmallVector
         reserve(n);
         std::uninitialized_fill(data(), data() + n, value);
         size_ = n;
+    }
+
+    /** Replace the contents with [first, last) (std::vector's
+     *  iterator-range assign). */
+    template <typename It,
+              typename = std::enable_if_t<!std::is_integral<It>::value>>
+    void assign(It first, It last)
+    {
+        clear();
+        reserve(static_cast<std::size_t>(std::distance(first, last)));
+        for (; first != last; ++first) {
+            pushBackFast(static_cast<T>(*first));
+        }
     }
 
     bool operator==(const SmallVector &o) const

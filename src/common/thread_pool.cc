@@ -38,9 +38,16 @@
 #include "common/thread_pool.hh"
 
 #include <algorithm>
+#include <fstream>
+#include <limits>
+#include <sstream>
+#include <stdexcept>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
+#endif
+#if defined(__linux__)
+#include <sched.h>
 #endif
 
 namespace sparseloop {
@@ -78,7 +85,71 @@ resolveThreadCount(int requested, std::int64_t jobs)
 }
 
 int
-hardwareThreads()
+cpuMaxThreads(const std::string &cpu_max)
+{
+    std::istringstream in(cpu_max);
+    std::string quota_text;
+    long long period = 0;
+    if (!(in >> quota_text >> period) || period <= 0 ||
+        quota_text == "max") {
+        return 0;
+    }
+    std::size_t used = 0;
+    long long quota = 0;
+    try {
+        quota = std::stoll(quota_text, &used);
+    } catch (const std::exception &) {
+        return 0;
+    }
+    if (used != quota_text.size() || quota <= 0) {
+        return 0;
+    }
+    const long long threads = (quota + period - 1) / period;
+    return static_cast<int>(std::min<long long>(
+        threads, std::numeric_limits<int>::max()));
+}
+
+namespace {
+
+/** The tightest `cpu.max` quota on the path from this process's
+ *  cgroup-v2 group up to the root, or 0 when there is none. */
+int
+cgroupQuotaThreads()
+{
+    std::ifstream groups("/proc/self/cgroup");
+    std::string line;
+    std::string path;
+    while (std::getline(groups, line)) {
+        if (line.rfind("0::", 0) == 0) {
+            path = line.substr(3);
+            break;
+        }
+    }
+    if (path.empty() || path[0] != '/') {
+        return 0;  // no cgroup-v2 membership
+    }
+    int tightest = 0;
+    for (;;) {
+        std::ifstream file("/sys/fs/cgroup" +
+                           (path == "/" ? std::string() : path) +
+                           "/cpu.max");
+        std::string cpu_max;
+        if (file && std::getline(file, cpu_max)) {
+            int n = cpuMaxThreads(cpu_max);
+            if (n > 0 && (tightest == 0 || n < tightest)) {
+                tightest = n;
+            }
+        }
+        if (path == "/") {
+            return tightest;
+        }
+        std::size_t slash = path.find_last_of('/');
+        path = slash == 0 ? "/" : path.substr(0, slash);
+    }
+}
+
+int
+detectHardwareThreads()
 {
     unsigned hc = std::thread::hardware_concurrency();
 #if defined(_SC_NPROCESSORS_ONLN)
@@ -89,7 +160,31 @@ hardwareThreads()
         }
     }
 #endif
-    return hc > 0 ? static_cast<int>(hc) : 1;
+    int threads = hc > 0 ? static_cast<int>(hc) : 1;
+#if defined(__linux__)
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    if (::sched_getaffinity(0, sizeof mask, &mask) == 0) {
+        const int allowed = CPU_COUNT(&mask);
+        if (allowed > 0) {
+            threads = std::min(threads, allowed);
+        }
+    }
+    const int quota = cgroupQuotaThreads();
+    if (quota > 0) {
+        threads = std::min(threads, quota);
+    }
+#endif
+    return std::max(threads, 1);
+}
+
+} // namespace
+
+int
+hardwareThreads()
+{
+    static const int threads = detectHardwareThreads();
+    return threads;
 }
 
 ThreadPool::ThreadPool(int helpers)

@@ -68,6 +68,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -83,11 +84,23 @@ namespace parallel {
 int resolveThreadCount(int requested, std::int64_t jobs);
 
 /**
- * The host's hardware thread count: `std::thread::hardware_concurrency`
- * with a sysconf fallback, never less than 1. This is the value the
- * perf harness records and the pool sizes itself from.
+ * The threads this process can run at once, never less than 1: the
+ * smallest of `std::thread::hardware_concurrency` (sysconf fallback),
+ * the CPUs in the `sched_getaffinity` mask, and the cgroup-v2
+ * `cpu.max` quota of the process's cgroup and its ancestors (see
+ * `cpuMaxThreads`). Measured once per process. This is the value the
+ * perf harness records and the pool sizes itself from, so a container
+ * with one core of quota on a 4-thread host gets no idle helpers.
  */
 int hardwareThreads();
+
+/**
+ * Threads a cgroup-v2 `cpu.max` line ("<quota> <period>", quota in
+ * microseconds per period, or "max <period>") lets run at once: the
+ * quota over the period rounded up, at least 1. Returns 0 for no
+ * limit ("max") and for a line it cannot parse.
+ */
+int cpuMaxThreads(const std::string &cpu_max);
 
 /**
  * Non-owning reference to a per-index callable `void(std::size_t)`.

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <memory>
 
 #include "common/mathutil.hh"
 
@@ -82,6 +83,47 @@ std::int64_t
 DensityModel::maxOccupancyShaped(const Shape &extents) const
 {
     return maxOccupancy(volume(extents));
+}
+
+namespace {
+
+/** One `probEmptyMemoized` entry; instance id 0 marks an empty slot
+ *  (ids start at 1). */
+struct ProbEmptySlot
+{
+    std::uint64_t id;
+    std::int64_t volume;
+    double p_empty;
+};
+
+} // namespace
+
+std::size_t
+probEmptyMemoSlot(std::uint64_t instance_id, std::int64_t volume)
+{
+    std::uint64_t h = math::hashCombine(instance_id,
+                                        static_cast<std::uint64_t>(volume));
+    return static_cast<std::size_t>(h % kProbEmptyMemoSlots);
+}
+
+double
+probEmptyMemoized(const DensityModel &model, std::int64_t volume)
+{
+    if (model.coordinateDependent()) {
+        return model.probEmpty(volume);
+    }
+    // Allocated on a thread's first query and freed at its exit, so
+    // threads that never model a sparse tensor carry no table.
+    thread_local std::unique_ptr<ProbEmptySlot[]> table;
+    if (!table) {
+        table.reset(new ProbEmptySlot[kProbEmptyMemoSlots]());
+    }
+    const std::uint64_t id = model.instanceId();
+    ProbEmptySlot &slot = table[probEmptyMemoSlot(id, volume)];
+    if (slot.id != id || slot.volume != volume) {
+        slot = {id, volume, model.probEmpty(volume)};
+    }
+    return slot.p_empty;
 }
 
 std::uint64_t

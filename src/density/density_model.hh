@@ -19,6 +19,7 @@
 #ifndef SPARSELOOP_DENSITY_DENSITY_MODEL_HH
 #define SPARSELOOP_DENSITY_DENSITY_MODEL_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -85,7 +86,12 @@ class DensityModel
     virtual double probEmptyShaped(const Shape &extents) const;
     virtual std::int64_t maxOccupancyShaped(const Shape &extents) const;
 
-    /** Whether fiber density depends on fiber coordinates (Table 4). */
+    /**
+     * Whether fiber density depends on fiber coordinates (Table 4).
+     * A model that returns false answers every shaped query as the
+     * element-count query on the tile volume (the defaults below),
+     * which is what lets `probEmptyMemoized` key on the volume alone.
+     */
     virtual bool coordinateDependent() const { return false; }
 
     /**
@@ -99,8 +105,13 @@ class DensityModel
      */
     virtual std::uint64_t signature() const;
 
-  protected:
-    /** Process-unique id minted per constructed model (see signature). */
+    /**
+     * Process-unique id minted per constructed model, starting at 1.
+     * Never reused (unlike an address, which allocators recycle), so
+     * it can key per-model memos that outlive the model. A copy
+     * carries its source's id together with its parameters, and no
+     * model has mutators, so one id always names one set of answers.
+     */
     std::uint64_t instanceId() const { return instance_id_; }
 
   private:
@@ -110,6 +121,24 @@ class DensityModel
 };
 
 using DensityModelPtr = std::shared_ptr<const DensityModel>;
+
+/**
+ * `model.probEmpty(volume)` through a per-thread memo: a bounded,
+ * direct-mapped table keyed by (`model.instanceId()`, @p volume).
+ * A hit returns the double a fresh call would (probEmpty is a pure
+ * function of the model and the volume); a miss computes it and
+ * overwrites the slot. Coordinate-dependent models bypass the memo.
+ * Each thread owns its table, so pool workers never contend.
+ */
+double probEmptyMemoized(const DensityModel &model, std::int64_t volume);
+
+/** Slots in each thread's `probEmptyMemoized` table. */
+constexpr std::size_t kProbEmptyMemoSlots = 1024;
+
+/** The `probEmptyMemoized` slot of one key (for tests that need keys
+ *  that collide). */
+std::size_t probEmptyMemoSlot(std::uint64_t instance_id,
+                              std::int64_t volume);
 
 } // namespace sparseloop
 

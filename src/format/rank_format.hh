@@ -62,6 +62,20 @@ struct RankFormat
     double fiberMetadataBits(std::int64_t fiber_shape, double occupancy,
                              std::int64_t payload_index_space,
                              double tensor_density) const;
+
+    /** `fiberMetadataBits` with RLE padding from
+     *  `rleExpectedPaddingMemoized`; bit-identical. */
+    double fiberMetadataBitsMemoized(std::int64_t fiber_shape,
+                                     double occupancy,
+                                     std::int64_t payload_index_space,
+                                     double tensor_density) const;
+
+  private:
+    /** The shared body, with @p padding computing RLE padding. */
+    double metadataBitsWith(std::int64_t fiber_shape, double occupancy,
+                            std::int64_t payload_index_space,
+                            double tensor_density,
+                            double (*padding)(double, double, int)) const;
 };
 
 /**
@@ -73,6 +87,15 @@ struct RankFormat
  */
 double rleExpectedPadding(double occupancy, double tensor_density,
                           int run_bits);
+
+/**
+ * `rleExpectedPadding` with the run-overflow probability
+ * (1-d)^(2^bits - 1) looked up in a per-thread, direct-mapped memo
+ * keyed by (density, run bits): the same double, term for term, without
+ * the two `pow` calls on a hit.
+ */
+double rleExpectedPaddingMemoized(double occupancy, double tensor_density,
+                                  int run_bits);
 
 } // namespace sparseloop
 

@@ -139,8 +139,7 @@ TensorFormat::tileStatsPair(const DensityModel &model,
                             const std::int64_t *rank_extents,
                             std::size_t count,
                             TileFormatStats &expected,
-                            TileFormatStats &worst,
-                            ProbEmptyMemo *memo) const
+                            TileFormatStats &worst) const
 {
     SL_ASSERT(count == ranks_.size(),
               "rank extent count mismatch: ", count, " vs ",
@@ -176,9 +175,8 @@ TensorFormat::tileStatsPair(const DensityModel &model,
     std::int64_t elems_below = tile_elems;
     bool compressed_above = false;
     std::int64_t deepest_compressed_below = 0;
-    // probEmpty is a pure function of the subtile volume; memoize the
-    // last (volume, result) pair since consecutive ranks often share
-    // their deepest compressed subtile.
+    // Consecutive ranks often share their deepest compressed subtile,
+    // so the last (volume, probEmpty) pair is kept in hand.
     std::int64_t memo_subtile = -1;
     double memo_p_empty = 0.0;
 
@@ -197,12 +195,7 @@ TensorFormat::tileStatsPair(const DensityModel &model,
                                max_occ_tile);
             if (deepest_compressed_below != memo_subtile) {
                 memo_subtile = deepest_compressed_below;
-                if (!memo || !memo->lookup(memo_subtile, memo_p_empty)) {
-                    memo_p_empty = model.probEmpty(memo_subtile);
-                    if (memo) {
-                        memo->insert(memo_subtile, memo_p_empty);
-                    }
-                }
+                memo_p_empty = probEmptyMemoized(model, memo_subtile);
             }
             units_e = static_cast<double>(total_units) *
                       (1.0 - memo_p_empty);
@@ -210,14 +203,14 @@ TensorFormat::tileStatsPair(const DensityModel &model,
         std::int64_t payload_space = rank_extents[i] * elems_below;
         double occ_e = prev_e > 0.0 ? units_e / prev_e : 0.0;
         double bits_e =
-            prev_e * ranks_[i].fiberMetadataBits(rank_extents[i], occ_e,
-                                                 payload_space, d);
+            prev_e * ranks_[i].fiberMetadataBitsMemoized(
+                         rank_extents[i], occ_e, payload_space, d);
         expected.per_rank_metadata_bits[i] = bits_e;
         expected.metadata_bits += bits_e;
         double occ_w = prev_w > 0.0 ? units_w / prev_w : 0.0;
         double bits_w =
-            prev_w * ranks_[i].fiberMetadataBits(rank_extents[i], occ_w,
-                                                 payload_space, d);
+            prev_w * ranks_[i].fiberMetadataBitsMemoized(
+                         rank_extents[i], occ_w, payload_space, d);
         worst.per_rank_metadata_bits[i] = bits_w;
         worst.metadata_bits += bits_w;
         prev_e = units_e;

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/small_vector.hh"
 #include "density/density_model.hh"
 #include "format/rank_format.hh"
 
@@ -25,8 +26,8 @@ struct TileFormatStats
     double data_words = 0.0;
     /** Total metadata bits across ranks. */
     double metadata_bits = 0.0;
-    /** Per-rank metadata bits (top first). */
-    std::vector<double> per_rank_metadata_bits;
+    /** Per-rank metadata bits (top first; inline up to 4 ranks). */
+    SmallVector<double, 4> per_rank_metadata_bits;
     /** Dense element count of the tile. */
     std::int64_t dense_words = 0;
 
@@ -47,42 +48,6 @@ struct TileFormatStats
         return enc <= 0.0
             ? 1.0
             : static_cast<double>(dense_words) * data_bits / enc;
-    }
-};
-
-/**
- * Optional cross-call memo for DensityModel::probEmpty keyed by
- * subtile volume. probEmpty is a pure function of (model, volume), so
- * a caller analyzing several tiles of the SAME tensor may share one
- * memo across tileStatsPair calls to skip repeated evaluations — a
- * hit returns the identical double the recomputation would produce.
- * Never share a memo across different density models. Fixed capacity:
- * once full, further distinct volumes are simply recomputed.
- */
-struct ProbEmptyMemo
-{
-    static constexpr int kCapacity = 8;
-    int count = 0;
-    std::int64_t volumes[kCapacity] = {};
-    double p_empty[kCapacity] = {};
-
-    bool lookup(std::int64_t volume, double &out) const
-    {
-        for (int i = 0; i < count; ++i) {
-            if (volumes[i] == volume) {
-                out = p_empty[i];
-                return true;
-            }
-        }
-        return false;
-    }
-    void insert(std::int64_t volume, double p)
-    {
-        if (count < kCapacity) {
-            volumes[count] = volume;
-            p_empty[count] = p;
-            ++count;
-        }
     }
 };
 
@@ -164,20 +129,20 @@ class TensorFormat
 
     /**
      * Compute the Expected and WorstCase estimates in a single rank
-     * sweep, writing into caller-owned stats (whose vectors keep their
-     * capacity across calls). Bit-identical to two tileStats() calls:
-     * the two estimates share every input-derived quantity (dense tile
-     * size, per-rank subtile volumes, max occupancy, probEmpty of the
-     * deepest compressed subtile) and differ only in the materialized-
-     * unit recurrence, which this method carries as two independent
-     * chains with the exact per-call arithmetic. @p memo optionally
-     * caches probEmpty across calls that share a density model.
+     * sweep, writing into caller-owned stats. Bit-identical to two
+     * tileStats() calls: the two estimates share every input-derived
+     * quantity (dense tile size, per-rank subtile volumes, max
+     * occupancy, probEmpty of the deepest compressed subtile) and
+     * differ only in the materialized-unit recurrence, which this
+     * method carries as two independent chains with the exact
+     * per-call arithmetic. The engine's hot path: probEmpty goes
+     * through `probEmptyMemoized` and RLE padding through
+     * `rleExpectedPaddingMemoized`, which return the same doubles.
      */
     void tileStatsPair(const DensityModel &model,
                        const std::int64_t *rank_extents, std::size_t count,
                        TileFormatStats &expected,
-                       TileFormatStats &worst,
-                       ProbEmptyMemo *memo = nullptr) const;
+                       TileFormatStats &worst) const;
 
     /** Metadata words moved per stored data word for a tile. */
     double metadataWordsPerDataWord(const DensityModel &model,

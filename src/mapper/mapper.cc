@@ -104,12 +104,17 @@ Mapper::searchWithThreads(int num_threads) const
     // The incumbent's result is shared with the batch (and the cache)
     // and copied out once, after the search.
     std::shared_ptr<const EvalResult> best_eval;
+    // Per-round buffers, kept across rounds so their capacity (and
+    // each candidate's mapping buffers) is reused.
+    std::vector<SearchCandidate> batch;
     std::vector<EvalPoint> points;
+    std::vector<std::shared_ptr<const EvalResult>> evals;
+    std::vector<double> objectives;
 
     while (result.candidates_evaluated < budget) {
         const int want = static_cast<int>(std::min<std::int64_t>(
             batch_max, budget - result.candidates_evaluated));
-        std::vector<SearchCandidate> batch = strategy->propose(want);
+        strategy->proposeInto(want, batch);
         if (batch.empty()) {
             break;  // strategy exhausted (e.g. full exhaustive pass)
         }
@@ -118,10 +123,9 @@ Mapper::searchWithThreads(int num_threads) const
         for (const SearchCandidate &c : batch) {
             points.push_back({&workload_, &c.mapping, &safs_});
         }
-        std::vector<std::shared_ptr<const EvalResult>> evals =
-            evaluator.evaluateShared(points);
+        evaluator.evaluateSharedInto(points, evals);
 
-        std::vector<double> objectives(batch.size(), kInf);
+        objectives.assign(batch.size(), kInf);
         for (std::size_t i = 0; i < batch.size(); ++i) {
             ++result.candidates_evaluated;
             if (!evals[i]->valid) {

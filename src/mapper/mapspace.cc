@@ -280,7 +280,7 @@ MapSpace::MapSpace(const Workload &workload, const Architecture &arch,
                     tiling[d] = 0;
                 }
             }
-            const FactorGrid factors = tilingFactors(tiling);
+            const FactorGrid factors = tilingFactors(tiling.data());
             for (int l = 0; l < S; ++l) {
                 if (!orderConstrained(l)) {
                     ensureCanonical(tiledMask(factors.row(l)));
@@ -410,7 +410,7 @@ MapSpace::spatialCandidates(int level, const std::int64_t *factors) const
 }
 
 MapSpace::FactorGrid
-MapSpace::tilingFactors(const std::vector<std::size_t> &tiling) const
+MapSpace::tilingFactors(const std::size_t *tiling) const
 {
     const int S = levelCount();
     const int D = dimCount();
@@ -854,7 +854,7 @@ MapSpace::mappingAt(std::int64_t index) const
                                       split_count_.end());
     auto digits = math::mixedRadixDecode(t, radices);
     std::vector<std::size_t> tiling(digits.begin(), digits.end());
-    const FactorGrid factors = tilingFactors(tiling);
+    const FactorGrid factors = tilingFactors(tiling.data());
 
     const int S = levelCount();
     const int T = workload_.tensorCount();
@@ -962,25 +962,32 @@ MapSpace::mappingAt(std::int64_t index) const
 Mapping
 MapSpace::materialize(const Point &point) const
 {
-    const FactorGrid factors = tilingFactors(point.tiling);
+    Mapping mapping;
+    materializeInto(point, mapping);
+    return mapping;
+}
+
+void
+MapSpace::materializeInto(const Point &point, Mapping &out) const
+{
+    const FactorGrid factors = tilingFactors(point.tiling.data());
     const int S = levelCount();
-    std::vector<LevelNest> nests(static_cast<std::size_t>(S));
+    out.resizeLevels(S);
     for (int l = 0; l < S; ++l) {
         const std::int64_t *lf = factors.row(l);
         const auto &order = point.order[static_cast<std::size_t>(l)];
         int spatial_dim = point.spatial[static_cast<std::size_t>(l)];
+        LevelNest &nest = out.level(l);
+        nest.loops.clear();
         for (int d : order) {
             SL_ASSERT(lf[static_cast<std::size_t>(d)] > 1,
                       "point order lists an untiled dimension");
-            nests[static_cast<std::size_t>(l)].loops.push_back(
-                {d, lf[static_cast<std::size_t>(d)],
-                 d == spatial_dim});
+            nest.loops.push_back({d, lf[static_cast<std::size_t>(d)],
+                                  d == spatial_dim});
         }
-        nests[static_cast<std::size_t>(l)].keep =
-            keep_choices_[static_cast<std::size_t>(l)]
-                         [point.keep[static_cast<std::size_t>(l)]];
+        nest.keep = keep_choices_[static_cast<std::size_t>(l)]
+                                 [point.keep[static_cast<std::size_t>(l)]];
     }
-    return Mapping(std::move(nests));
 }
 
 std::optional<MapSpace::Point>
@@ -1051,8 +1058,15 @@ MapSpace::encode(const Mapping &mapping) const
 MapSpace::Point
 MapSpace::reconcile(Point point) const
 {
+    reconcileInPlace(point);
+    return point;
+}
+
+void
+MapSpace::reconcileInPlace(Point &point) const
+{
     const int S = levelCount();
-    const FactorGrid factors = tilingFactors(point.tiling);
+    const FactorGrid factors = tilingFactors(point.tiling.data());
     for (int l = 0; l < S; ++l) {
         const std::int64_t *lf = factors.row(l);
         SmallVector<int, 8> order;
@@ -1087,7 +1101,6 @@ MapSpace::reconcile(Point point) const
             spatial = candidates.empty() ? -1 : candidates.front();
         }
     }
-    return point;
 }
 
 MapSpace::Point
@@ -1129,6 +1142,17 @@ MapSpace::crossover(const Point &a, const Point &b,
 std::optional<MapSpace::Point>
 MapSpace::randomNeighbor(const Point &point, std::mt19937_64 &rng) const
 {
+    Point p;
+    if (!randomNeighborInto(point, rng, p)) {
+        return std::nullopt;
+    }
+    return p;
+}
+
+bool
+MapSpace::randomNeighborInto(const Point &point, std::mt19937_64 &rng,
+                             Point &p) const
+{
     // Count the moves of each category in the order `neighbors` emits
     // them, draw the same index, and build (and reconcile) only that
     // move instead of the whole neighborhood.
@@ -1151,7 +1175,7 @@ MapSpace::randomNeighbor(const Point &point, std::mt19937_64 &rng) const
             order_moves += order.size() - 1;
         }
     }
-    const FactorGrid factors = tilingFactors(point.tiling);
+    const FactorGrid factors = tilingFactors(point.tiling.data());
     // Alternatives to the current spatial loop, in `neighbors` order.
     auto spatialAlts = [&](int l) {
         Candidates alts = spatialCandidates(l, factors.row(l));
@@ -1176,12 +1200,12 @@ MapSpace::randomNeighbor(const Point &point, std::mt19937_64 &rng) const
     const std::size_t total =
         tiling_moves + order_moves + spatial_moves + keep_moves;
     if (total == 0) {
-        return std::nullopt;
+        return false;
     }
     std::uniform_int_distribution<std::size_t> pick(0, total - 1);
     std::size_t k = pick(rng);
 
-    Point p = point;
+    p = point;
     if (k < tiling_moves) {
         for (int d = 0; d < D; ++d) {
             for (int delta : {-1, 1}) {
@@ -1192,7 +1216,8 @@ MapSpace::randomNeighbor(const Point &point, std::mt19937_64 &rng) const
                     auto &idx = p.tiling[static_cast<std::size_t>(d)];
                     idx = static_cast<std::size_t>(
                         static_cast<std::int64_t>(idx) + delta);
-                    return reconcile(std::move(p));
+                    reconcileInPlace(p);
+                    return true;
                 }
             }
         }
@@ -1206,7 +1231,7 @@ MapSpace::randomNeighbor(const Point &point, std::mt19937_64 &rng) const
             }
             if (k < order.size() - 1) {
                 std::swap(order[k], order[k + 1]);
-                return p;
+                return true;
             }
             k -= order.size() - 1;
         }
@@ -1217,7 +1242,7 @@ MapSpace::randomNeighbor(const Point &point, std::mt19937_64 &rng) const
             const Candidates alts = spatialAlts(l);
             if (k < alts.size()) {
                 p.spatial[static_cast<std::size_t>(l)] = alts[k];
-                return p;
+                return true;
             }
             k -= alts.size();
         }
@@ -1229,7 +1254,7 @@ MapSpace::randomNeighbor(const Point &point, std::mt19937_64 &rng) const
             // Alternatives skip the current mask, as in `neighbors`.
             std::size_t current = point.keep[static_cast<std::size_t>(l)];
             p.keep[static_cast<std::size_t>(l)] = k < current ? k : k + 1;
-            return p;
+            return true;
         }
         k -= n;
     }
@@ -1241,7 +1266,7 @@ MapSpace::neighbors(const Point &point) const
 {
     std::vector<Point> out;
     const int S = levelCount();
-    const FactorGrid factors = tilingFactors(point.tiling);
+    const FactorGrid factors = tilingFactors(point.tiling.data());
 
     // Tiling moves: adjacent split per dimension.
     for (int d = 0; d < dimCount(); ++d) {

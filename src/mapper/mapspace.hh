@@ -212,18 +212,24 @@ class MapSpace
     /**
      * Per-axis coordinates of one point, the currency of neighborhood
      * search. Produced by `encode`, consumed by `materialize` and
-     * `neighbors`.
+     * `neighbors`. Every axis lives in inline storage sized for up to
+     * 8 dimensions and 8 levels (every workload and hierarchy in the
+     * tree), so copying, moving or overwriting a point allocates
+     * nothing; larger spaces spill to the heap transparently.
      */
     struct Point
     {
+        /** Tiled dimensions of one level in loop order (outer first). */
+        using Order = SmallVector<int, 8>;
+
         /** Per dimension: index into `splits(dim)`. */
-        std::vector<std::size_t> tiling;
+        SmallVector<std::size_t, 8> tiling;
         /** Per level: tiled dimensions in loop order (outer first). */
-        std::vector<std::vector<int>> order;
+        SmallVector<Order, 8> order;
         /** Per level: spatial dimension, or -1 for none. */
-        std::vector<int> spatial;
+        SmallVector<int, 8> spatial;
         /** Per level: index into the keep-mask choices. */
-        std::vector<std::size_t> keep;
+        SmallVector<std::size_t, 8> keep;
     };
 
     MapSpace(const Workload &workload, const Architecture &arch,
@@ -322,6 +328,14 @@ class MapSpace
     Mapping materialize(const Point &point) const;
 
     /**
+     * `materialize` into an existing mapping, reusing its per-level
+     * loop and keep buffers: once @p out has held a mapping of this
+     * space, rebuilding it allocates nothing. The result compares
+     * equal to `materialize(point)`.
+     */
+    void materializeInto(const Point &point, Mapping &out) const;
+
+    /**
      * Recover the coordinates of a mapping. Fails (nullopt) when the
      * mapping lies outside this space — unmaterialized tiling axis, a
      * dimension looped twice at one level, an unknown keep mask, or a
@@ -382,6 +396,15 @@ class MapSpace
      */
     std::optional<Point> randomNeighbor(const Point &point,
                                         std::mt19937_64 &rng) const;
+
+    /**
+     * `randomNeighbor` written into @p out (which must not alias
+     * @p point), reusing its storage: returns false, leaving @p out
+     * unspecified, for an isolated point. The same draw and the same
+     * neighbor as `randomNeighbor`.
+     */
+    bool randomNeighborInto(const Point &point, std::mt19937_64 &rng,
+                            Point &out) const;
 
     /** Post-hoc constraint check (for tests and rejection baselines). */
     bool satisfies(const Mapping &mapping) const;
@@ -452,8 +475,12 @@ class MapSpace
     /** Whether constraints fix the loop order at @p level. */
     bool orderConstrained(int level) const;
 
-    /** Per-level factors of one tiling coordinate vector. */
-    FactorGrid tilingFactors(const std::vector<std::size_t> &tiling) const;
+    /** Per-level factors of one tiling coordinate vector (one split
+     *  index per dimension). */
+    FactorGrid tilingFactors(const std::size_t *tiling) const;
+
+    /** `reconcile` in place. */
+    void reconcileInPlace(Point &point) const;
 
     /** Bitmask of dimensions tiled (factor > 1) at one level. */
     std::uint64_t tiledMask(const std::int64_t *level_factors) const;

@@ -28,6 +28,13 @@ SearchStrategy::warmStart(const std::vector<MapSpace::Point> &points)
     (void)points;
 }
 
+void
+SearchStrategy::proposeInto(int max_count,
+                            std::vector<SearchCandidate> &batch)
+{
+    batch = propose(max_count);
+}
+
 // ---------------------------------------------------------------------------
 // RandomSearch
 // ---------------------------------------------------------------------------
@@ -225,20 +232,29 @@ std::vector<SearchCandidate>
 RoundStrategy::propose(int max_count)
 {
     std::vector<SearchCandidate> batch;
+    proposeInto(max_count, batch);
+    return batch;
+}
+
+void
+RoundStrategy::proposeInto(int max_count,
+                           std::vector<SearchCandidate> &batch)
+{
     if (max_count <= 0) {
-        return batch;
+        batch.clear();
+        return;
     }
     if (degenerate_) {
         // No coordinate form available: seeded random sampling, the
         // same candidate derivation RandomSearch uses.
-        batch.reserve(static_cast<std::size_t>(max_count));
+        batch.clear();
         for (int i = 0; i < max_count; ++i) {
             batch.push_back(
                 {next_++,
                  space_.sampleMapping(
                      seed_ + static_cast<std::uint64_t>(next_seed_++))});
         }
-        return batch;
+        return;
     }
     if (round_proposed_ == round_points_.size() &&
         round_observed_ == round_points_.size()) {
@@ -258,14 +274,15 @@ RoundStrategy::propose(int max_count)
     std::size_t take = std::min<std::size_t>(
         static_cast<std::size_t>(max_count),
         round_points_.size() - round_proposed_);
-    batch.reserve(take);
+    // Resized, not cleared: surviving entries keep their mapping
+    // buffers, which materializeInto reuses.
+    batch.resize(take);
     for (std::size_t i = 0; i < take; ++i) {
-        batch.push_back(
-            {next_++,
-             space_.materialize(round_points_[round_proposed_ + i])});
+        batch[i].index = next_++;
+        space_.materializeInto(round_points_[round_proposed_ + i],
+                               batch[i].mapping);
     }
     round_proposed_ += take;
-    return batch;
 }
 
 void
@@ -343,8 +360,11 @@ AnnealingSearch::buildRound(std::vector<MapSpace::Point> &out)
     // Move round: one uniformly drawn neighbor per chain; an isolated
     // chain teleports to a fresh random point.
     for (Chain &chain : chains_) {
-        auto move = space_.randomNeighbor(chain.point, chain.rng);
-        out.push_back(move ? *std::move(move) : nextSamplePoint());
+        out.emplace_back();
+        if (!space_.randomNeighborInto(chain.point, chain.rng,
+                                       out.back())) {
+            out.back() = nextSamplePoint();
+        }
     }
 }
 

@@ -169,6 +169,17 @@ class SearchStrategy
     virtual std::vector<SearchCandidate> propose(int max_count) = 0;
 
     /**
+     * `propose` into @p batch, replacing its contents: the same
+     * candidates in the same order. Strategies that build candidates
+     * from `MapSpace::Point`s override it to rebuild each entry's
+     * mapping in place (`MapSpace::materializeInto`), so a driver that
+     * keeps one batch vector across rounds allocates no candidate
+     * storage in steady state. The default assigns `propose`'s result.
+     */
+    virtual void proposeInto(int max_count,
+                             std::vector<SearchCandidate> &batch);
+
+    /**
      * Feedback for the batch returned by the previous `propose` call:
      * `objectives[i]` is the scalarized objective of `batch[i]` under
      * the driver's `ObjectiveSpec` (+infinity for invalid candidates
@@ -285,11 +296,14 @@ class RoundStrategy : public SearchStrategy
     RoundStrategy(const MapSpace &space, std::uint64_t seed);
 
     std::vector<SearchCandidate> propose(int max_count) override;
+    void proposeInto(int max_count,
+                     std::vector<SearchCandidate> &batch) override;
     void observe(const std::vector<SearchCandidate> &batch,
                  const std::vector<double> &objectives) override;
 
   protected:
-    /** Fill @p out with the next round's points (must not be empty). */
+    /** Fill @p out (passed empty, with the previous round's capacity)
+     *  with the next round's points (must not be empty). */
     virtual void buildRound(std::vector<MapSpace::Point> &out) = 0;
     /** One objective per round point, +infinity for invalid ones. */
     virtual void roundComplete(const std::vector<MapSpace::Point> &points,

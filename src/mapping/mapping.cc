@@ -9,6 +9,7 @@
 
 #include "common/logging.hh"
 #include "common/mathutil.hh"
+#include "common/small_vector.hh"
 
 namespace sparseloop {
 
@@ -37,7 +38,10 @@ Mapping::validate(const Workload &workload, const Architecture &arch) const
         SL_FATAL("mapping has ", levelCount(), " subnests but the ",
                  "architecture has ", arch.levelCount(), " levels");
     }
-    std::vector<std::int64_t> product(workload.dimCount(), 1);
+    // Inline for up to 8 dimensions: validation runs once per
+    // evaluation, so it must not allocate.
+    SmallVector<std::int64_t, 8> product(
+        static_cast<std::size_t>(workload.dimCount()), 1);
     for (int l = 0; l < levelCount(); ++l) {
         std::int64_t spatial = 1;
         for (const auto &loop : levels_[l].loops) {

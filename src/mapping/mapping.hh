@@ -71,6 +71,13 @@ class Mapping
     LevelNest &level(int i) { return levels_[i]; }
     const std::vector<LevelNest> &levels() const { return levels_; }
 
+    /** Set the level count; surviving levels keep their contents and
+     *  buffers, new ones start empty. */
+    void resizeLevels(int count)
+    {
+        levels_.resize(static_cast<std::size_t>(count));
+    }
+
     /**
      * Validate against a workload and architecture:
      *  - per-dimension loop bounds must multiply to the dim bound,

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <tuple>
 #include <utility>
 
@@ -139,25 +140,104 @@ sortByKey(std::vector<std::size_t> &items, const KeyOf &key_of)
               });
 }
 
+/** One distinct EvalKey of a batch and what resolves it. */
+struct Job
+{
+    EvalKey key;
+    std::uint64_t key_hash = 0;
+    std::uint64_t dense_hash = 0;
+    const EvalPoint *point = nullptr;
+    std::shared_ptr<const DenseTraffic> dense;
+    std::shared_ptr<const EvalResult> result;
+};
+
+/**
+ * The working vectors of one `evaluateSharedInto` call. Each thread
+ * keeps one between calls so their capacity is reused; `release`
+ * drops every shared result and traffic they still reference, so the
+ * scratch never keeps a result alive past its batch, and frees the
+ * vectors outright after a batch larger than `kKeptPoints`.
+ */
+struct BatchScratch
+{
+    static constexpr std::size_t kKeptPoints = 4096;
+
+    std::vector<EvalKey> keys;
+    std::vector<std::uint64_t> hashes;
+    std::vector<std::pair<std::uintptr_t, std::size_t>> by_address;
+    std::vector<std::size_t> order;
+    std::vector<std::size_t> point_to_job;
+    std::vector<Job> jobs;
+    std::vector<std::size_t> unresolved;
+    std::vector<std::size_t> group_jobs;
+    std::vector<std::size_t> group_begin;
+    std::vector<std::size_t> shared_jobs;
+    std::vector<std::shared_ptr<const DenseTraffic>> fresh;
+    std::vector<EvalCache::DenseEntry> fresh_dense;
+    std::vector<EvalCache::ResultEntry> fresh_results;
+    bool busy = false;
+
+    void release()
+    {
+        if (keys.capacity() > kKeptPoints) {
+            *this = BatchScratch();
+            return;
+        }
+        jobs.clear();
+        fresh.clear();
+        fresh_dense.clear();
+        fresh_results.clear();
+        busy = false;
+    }
+};
+
+/**
+ * This thread's batch scratch for the duration of one call, or a
+ * private one when the thread's is already in use (a batch evaluated
+ * from inside another batch's task on the same thread).
+ */
+class ScratchLease
+{
+  public:
+    ScratchLease()
+    {
+        thread_local BatchScratch tls_scratch;
+        if (tls_scratch.busy) {
+            own_ = std::make_unique<BatchScratch>();
+            scratch_ = own_.get();
+        } else {
+            scratch_ = &tls_scratch;
+        }
+        scratch_->busy = true;
+    }
+    ~ScratchLease() { scratch_->release(); }
+    ScratchLease(const ScratchLease &) = delete;
+    ScratchLease &operator=(const ScratchLease &) = delete;
+
+    BatchScratch &operator*() const { return *scratch_; }
+
+  private:
+    BatchScratch *scratch_ = nullptr;
+    std::unique_ptr<BatchScratch> own_;
+};
+
 } // namespace
 
 std::vector<std::shared_ptr<const EvalResult>>
 BatchEvaluator::evaluateShared(const std::vector<EvalPoint> &points,
                                BatchStats *stats) const
 {
-    // 1. Dedupe: one job per distinct EvalKey, in order of first
-    //    occurrence; remember which job serves each input point. Each
-    //    key is hashed here, once, and the hash rides along through
-    //    every later stage.
-    struct Job
-    {
-        EvalKey key;
-        std::uint64_t key_hash = 0;
-        std::uint64_t dense_hash = 0;
-        const EvalPoint *point = nullptr;
-        std::shared_ptr<const DenseTraffic> dense;
-        std::shared_ptr<const EvalResult> result;
-    };
+    std::vector<std::shared_ptr<const EvalResult>> results;
+    evaluateSharedInto(points, results, stats);
+    return results;
+}
+
+void
+BatchEvaluator::evaluateSharedInto(
+    const std::vector<EvalPoint> &points,
+    std::vector<std::shared_ptr<const EvalResult>> &results,
+    BatchStats *stats) const
+{
     // A job the engine threw `FatalError` on gets an invalid stand-in
     // result and no dense traffic; an unresolved job without dense
     // traffic is never cached.
@@ -175,18 +255,23 @@ BatchEvaluator::evaluateShared(const std::vector<EvalPoint> &points,
             SL_FATAL("EvalPoint ", i, " has a null component");
         }
     }
-    std::vector<EvalKey> keys(n);
-    std::vector<std::uint64_t> hashes(n);
-    {
-        std::vector<std::pair<std::uintptr_t, std::size_t>> by_address;
-        by_address.reserve(n);
-        memoizedSignatures(points, &EvalPoint::workload,
-                           &EvalKey::workload, keys, by_address);
-        memoizedSignatures(points, &EvalPoint::mapping, &EvalKey::mapping,
-                           keys, by_address);
-        memoizedSignatures(points, &EvalPoint::safs, &EvalKey::safs, keys,
-                           by_address);
-    }
+    ScratchLease lease;
+    BatchScratch &sc = *lease;
+
+    // 1. Dedupe: one job per distinct EvalKey, in order of first
+    //    occurrence; remember which job serves each input point. Each
+    //    key is hashed here, once, and the hash rides along through
+    //    every later stage.
+    std::vector<EvalKey> &keys = sc.keys;
+    std::vector<std::uint64_t> &hashes = sc.hashes;
+    keys.assign(n, EvalKey{});
+    hashes.assign(n, 0);
+    memoizedSignatures(points, &EvalPoint::workload, &EvalKey::workload,
+                       keys, sc.by_address);
+    memoizedSignatures(points, &EvalPoint::mapping, &EvalKey::mapping,
+                       keys, sc.by_address);
+    memoizedSignatures(points, &EvalPoint::safs, &EvalKey::safs, keys,
+                       sc.by_address);
     for (std::size_t i = 0; i < n; ++i) {
         keys[i].engine = engine_.signature();
         hashes[i] = keys[i].hash();
@@ -196,22 +281,23 @@ BatchEvaluator::evaluateShared(const std::vector<EvalPoint> &points,
         return std::make_tuple(hashes[i], k.engine, k.workload, k.mapping,
                                k.safs);
     };
-    std::vector<std::size_t> order(n);
+    std::vector<std::size_t> &order = sc.order;
+    order.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
         order[i] = i;
     }
     sortByKey(order, pointKey);
     // point_to_job first holds each point's first occurrence (the
     // head of its run in `order`), then, below, its job index.
-    std::vector<std::size_t> point_to_job(n);
+    std::vector<std::size_t> &point_to_job = sc.point_to_job;
+    point_to_job.resize(n);
     for (std::size_t r = 0; r < n; ++r) {
         point_to_job[order[r]] =
             r > 0 && pointKey(order[r - 1]) == pointKey(order[r])
                 ? point_to_job[order[r - 1]]
                 : order[r];
     }
-    std::vector<Job> jobs;
-    jobs.reserve(n);
+    std::vector<Job> &jobs = sc.jobs;
     for (std::size_t i = 0; i < n; ++i) {
         // A repeat's first occurrence precedes it and already holds
         // its job index.
@@ -220,11 +306,10 @@ BatchEvaluator::evaluateShared(const std::vector<EvalPoint> &points,
             continue;
         }
         point_to_job[i] = jobs.size();
-        Job job;
+        Job &job = jobs.emplace_back();
         job.key = keys[i];
         job.key_hash = hashes[i];
         job.point = &points[i];
-        jobs.push_back(std::move(job));
     }
 
     // 2. Resolve full-result cache hits up front, then group only the
@@ -234,8 +319,8 @@ BatchEvaluator::evaluateShared(const std::vector<EvalPoint> &points,
     //    are flat: group g's jobs are
     //    group_jobs[group_begin[g] .. group_begin[g + 1]), ascending,
     //    and the groups are in dense-hash order.
-    std::vector<std::size_t> unresolved;
-    unresolved.reserve(jobs.size());
+    std::vector<std::size_t> &unresolved = sc.unresolved;
+    unresolved.clear();
     for (std::size_t j = 0; j < jobs.size(); ++j) {
         Job &job = jobs[j];
         job.result = cache_->findResult(job.key, job.key_hash);
@@ -251,9 +336,11 @@ BatchEvaluator::evaluateShared(const std::vector<EvalPoint> &points,
         return std::make_tuple(job.dense_hash, job.key.engine,
                                job.key.workload, job.key.mapping);
     };
-    std::vector<std::size_t> group_jobs = unresolved;
+    std::vector<std::size_t> &group_jobs = sc.group_jobs;
+    group_jobs.assign(unresolved.begin(), unresolved.end());
     sortByKey(group_jobs, denseKey);
-    std::vector<std::size_t> group_begin;
+    std::vector<std::size_t> &group_begin = sc.group_begin;
+    group_begin.clear();
     for (std::size_t r = 0; r < group_jobs.size(); ++r) {
         if (r == 0 ||
             denseKey(group_jobs[r - 1]) != denseKey(group_jobs[r])) {
@@ -280,8 +367,10 @@ BatchEvaluator::evaluateShared(const std::vector<EvalPoint> &points,
     //    fresh[] slots; all cache insertions are buffered and merged
     //    in bulk after the waves, so the hot loops touch no shared
     //    mutex.
-    std::vector<std::shared_ptr<const DenseTraffic>> fresh(group_count);
-    std::vector<std::size_t> shared_jobs;
+    std::vector<std::shared_ptr<const DenseTraffic>> &fresh = sc.fresh;
+    fresh.resize(group_count);
+    std::vector<std::size_t> &shared_jobs = sc.shared_jobs;
+    shared_jobs.clear();
     for (std::size_t g = 0; g < group_count; ++g) {
         if (group_begin[g + 1] - group_begin[g] > 1) {
             shared_jobs.insert(shared_jobs.end(),
@@ -353,30 +442,25 @@ BatchEvaluator::evaluateShared(const std::vector<EvalPoint> &points,
                 stepsTwoThree(job);
             }
         });
-    {
-        std::vector<EvalCache::DenseEntry> fresh_dense;
-        for (std::size_t g = 0; g < group_count; ++g) {
-            if (fresh[g]) {
-                const Job &lead = jobs[group_jobs[group_begin[g]]];
-                fresh_dense.push_back({lead.key.densePrefix(),
-                                       lead.dense_hash,
-                                       std::move(fresh[g])});
-            }
+    for (std::size_t g = 0; g < group_count; ++g) {
+        if (fresh[g]) {
+            const Job &lead = jobs[group_jobs[group_begin[g]]];
+            sc.fresh_dense.push_back({lead.key.densePrefix(),
+                                      lead.dense_hash,
+                                      std::move(fresh[g])});
         }
-        if (!fresh_dense.empty()) {
-            cache_->storeDenses(std::move(fresh_dense));
+    }
+    if (!sc.fresh_dense.empty()) {
+        cache_->storeDenses(std::move(sc.fresh_dense));
+    }
+    for (std::size_t j : unresolved) {
+        if (jobs[j].dense) {
+            sc.fresh_results.push_back(
+                {jobs[j].key, jobs[j].key_hash, jobs[j].result});
         }
-        std::vector<EvalCache::ResultEntry> fresh_results;
-        fresh_results.reserve(unresolved.size());
-        for (std::size_t j : unresolved) {
-            if (jobs[j].dense) {
-                fresh_results.push_back(
-                    {jobs[j].key, jobs[j].key_hash, jobs[j].result});
-            }
-        }
-        if (!fresh_results.empty()) {
-            cache_->storeResults(std::move(fresh_results));
-        }
+    }
+    if (!sc.fresh_results.empty()) {
+        cache_->storeResults(std::move(sc.fresh_results));
     }
 
     if (stats) {
@@ -388,12 +472,11 @@ BatchEvaluator::evaluateShared(const std::vector<EvalPoint> &points,
     }
 
     // 4. Hand back the deduplicated results in input order.
-    std::vector<std::shared_ptr<const EvalResult>> results;
+    results.clear();
     results.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         results.push_back(jobs[point_to_job[i]].result);
     }
-    return results;
 }
 
 std::vector<EvalResult>

@@ -155,6 +155,19 @@ class BatchEvaluator
                    BatchStats *stats = nullptr) const;
 
     /**
+     * `evaluateShared` into @p results (replaced), reusing its
+     * capacity: the same results, order, error contract and stats.
+     * The batch's working vectors live in per-thread scratch that
+     * keeps its capacity between calls, so a caller that keeps
+     * @p results across batches allocates only for the fresh results
+     * and the cache entries that hold them.
+     */
+    void evaluateSharedInto(
+        const std::vector<EvalPoint> &points,
+        std::vector<std::shared_ptr<const EvalResult>> &results,
+        BatchStats *stats = nullptr) const;
+
+    /**
      * `evaluateShared` with each result copied out: the same results,
      * order, error contract and stats.
      */

@@ -222,68 +222,68 @@ EvalCache::storeDense(const DenseKey &key, std::uint64_t hash,
 
 namespace {
 
-/** Shard index of a hash for an @p nshards -shard cache. */
-std::size_t
-shardIndex(std::uint64_t hash, std::size_t nshards)
+/**
+ * Merge @p entries into @p shards, locking each touched shard once;
+ * @p store inserts one entry into a locked shard. Entries are visited
+ * by (shard, position): every shard's entries together and in input
+ * order. The ordering buffer is per thread and keeps its capacity
+ * across batch-sized stores; a bulk load's larger one is freed.
+ */
+template <typename Entry, typename ShardPtr, typename Store>
+void
+storeGrouped(std::vector<Entry> &entries,
+             const std::vector<ShardPtr> &shards, const Store &store)
 {
-    return static_cast<std::size_t>(
-        hash % static_cast<std::uint64_t>(nshards));
+    constexpr std::size_t kKeptOrderCapacity = 4096;
+    thread_local std::vector<std::uint64_t> order;
+    order.clear();
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        const std::uint64_t shard = entries[i].hash % shards.size();
+        order.push_back(shard << 32 | static_cast<std::uint64_t>(i));
+    }
+    std::sort(order.begin(), order.end());
+    for (std::size_t r = 0; r < order.size();) {
+        const std::size_t s = static_cast<std::size_t>(order[r] >> 32);
+        auto &shard = *shards[s];
+        std::lock_guard<std::mutex> lock(shard.mutex);
+        for (; r < order.size() &&
+               static_cast<std::size_t>(order[r] >> 32) == s;
+             ++r) {
+            store(shard, entries[order[r] & 0xFFFFFFFFu]);
+        }
+    }
+    entries.clear();
+    if (order.capacity() > kKeptOrderCapacity) {
+        std::vector<std::uint64_t>().swap(order);
+    }
 }
 
 } // namespace
 
 void
-EvalCache::storeResults(std::vector<ResultEntry> entries)
+EvalCache::storeResults(std::vector<ResultEntry> &&entries)
 {
-    // Group by shard first so each touched shard is locked once.
-    const std::size_t nshards = shards_.size();
-    std::vector<std::vector<std::size_t>> per_shard(nshards);
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        per_shard[shardIndex(entries[i].hash, nshards)].push_back(i);
-    }
     std::vector<Displaced<ResultMap>> displaced;
-    for (std::size_t s = 0; s < nshards; ++s) {
-        if (per_shard[s].empty()) {
-            continue;
+    storeGrouped(entries, shards_, [&](Shard &shard, ResultEntry &e) {
+        auto out = storeEntryLocked(shard.results, e.key, e.hash,
+                                    std::move(e.result),
+                                    options_.max_entries_per_shard);
+        if (out) {
+            displaced.push_back(std::move(out));
         }
-        Shard &shard = *shards_[s];
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        for (std::size_t i : per_shard[s]) {
-            auto out = storeEntryLocked(shard.results, entries[i].key,
-                                        entries[i].hash,
-                                        std::move(entries[i].result),
-                                        options_.max_entries_per_shard);
-            if (out) {
-                displaced.push_back(std::move(out));
-            }
-        }
-    }
+    });
     for (const Displaced<ResultMap> &out : displaced) {
         unpinDisplaced(out->first, out->second);
     }
 }
 
 void
-EvalCache::storeDenses(std::vector<DenseEntry> entries)
+EvalCache::storeDenses(std::vector<DenseEntry> &&entries)
 {
-    const std::size_t nshards = shards_.size();
-    std::vector<std::vector<std::size_t>> per_shard(nshards);
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        per_shard[shardIndex(entries[i].hash, nshards)].push_back(i);
-    }
-    for (std::size_t s = 0; s < nshards; ++s) {
-        if (per_shard[s].empty()) {
-            continue;
-        }
-        Shard &shard = *shards_[s];
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        for (std::size_t i : per_shard[s]) {
-            storeEntryLocked(shard.dense, entries[i].key,
-                             entries[i].hash,
-                             std::move(entries[i].dense),
-                             options_.max_entries_per_shard);
-        }
-    }
+    storeGrouped(entries, shards_, [&](Shard &shard, DenseEntry &e) {
+        storeEntryLocked(shard.dense, e.key, e.hash, std::move(e.dense),
+                         options_.max_entries_per_shard);
+    });
 }
 
 std::vector<EvalCache::ResultEntry>

@@ -239,12 +239,14 @@ class EvalCache
      * with O(shards) mutex acquisitions instead of O(entries). A
      * displaced result (see `unpinDisplaced`) that a dense entry
      * aliases costs one more acquisition, of that entry's shard,
-     * after the bulk merge.
+     * after the bulk merge. The entries' values are moved into the
+     * cache and @p entries is left empty with its capacity, so a
+     * caller can refill the same buffer for the next batch.
      */
-    void storeResults(std::vector<ResultEntry> entries);
+    void storeResults(std::vector<ResultEntry> &&entries);
 
     /** Bulk Step-1 insertion (same contract as `storeResults`). */
-    void storeDenses(std::vector<DenseEntry> entries);
+    void storeDenses(std::vector<DenseEntry> &&entries);
 
     /**
      * Snapshot of every resident full-result entry (hash field

@@ -16,6 +16,34 @@
 
 namespace sparseloop {
 
+namespace {
+
+/**
+ * The dense stand-in model for format analysis of a tensor that has
+ * no density model: `makeUniformDensity(volume, 1.0)`. Each thread
+ * keeps the models of its last few tensor volumes, so the engine
+ * builds one per (thread, volume) rather than one per evaluation.
+ */
+const DensityModelPtr &
+denseFallback(std::int64_t volume)
+{
+    struct Entry
+    {
+        std::int64_t volume = 0;
+        DensityModelPtr model;
+    };
+    constexpr std::size_t kEntries = 8;
+    thread_local Entry table[kEntries];
+    Entry &e = table[static_cast<std::uint64_t>(volume) % kEntries];
+    if (!e.model || e.volume != volume) {
+        e.volume = volume;
+        e.model = makeUniformDensity(volume, 1.0);
+    }
+    return e.model;
+}
+
+} // namespace
+
 SparseAnalysis::SparseAnalysis(const Workload &workload,
                                const Architecture &arch,
                                const Mapping &mapping,
@@ -112,8 +140,7 @@ SparseAnalysis::eliminationProbability(const IntersectionSaf &saf) const
 
 double
 SparseAnalysis::eliminationProbabilityScratch(
-        const IntersectionSaf &saf,
-        std::vector<std::int64_t> &dim_tiles, Shape &extents) const
+        const IntersectionSaf &saf, DimTiles &dim_tiles) const
 {
     // safBoundary without the keepLevels() vector: the first keeping
     // level above the SAF (level 0 always keeps but can never be
@@ -155,8 +182,20 @@ SparseAnalysis::eliminationProbabilityScratch(
         if (!ds.density) {
             continue;
         }
-        workload_.tensorTileExtentsInto(leader, dim_tiles.data(), extents);
-        double p_empty = ds.density->probEmptyShaped(extents);
+        double p_empty;
+        if (ds.density->coordinateDependent()) {
+            Shape extents;
+            workload_.tensorTileExtentsInto(leader, dim_tiles.data(),
+                                            extents);
+            p_empty = ds.density->probEmptyShaped(extents);
+        } else {
+            // A coordinate-independent model answers the shaped query
+            // as probEmpty of the tile volume, which the memo serves.
+            TileExtents extents;
+            workload_.tensorTileExtentsInto(leader, dim_tiles.data(),
+                                            extents);
+            p_empty = probEmptyMemoized(*ds.density, volume(extents));
+        }
         p_keep *= (1.0 - p_empty);
     }
     return 1.0 - p_keep;
@@ -264,13 +303,11 @@ SparseAnalysis::analyze(const DenseTraffic &dense) const
     };
     SmallVector<CachedSaf, 8> cached;
     {
-        std::vector<std::int64_t> dim_tiles_scratch;
-        Shape extents_scratch;
+        DimTiles dim_tiles_scratch;
         for (const auto &saf : safs_.intersections) {
             cached.push_back(
                 {saf.level, saf.target, saf.kind,
-                 eliminationProbabilityScratch(saf, dim_tiles_scratch,
-                                               extents_scratch)});
+                 eliminationProbabilityScratch(saf, dim_tiles_scratch)});
         }
     }
 
@@ -288,19 +325,13 @@ SparseAnalysis::analyze(const DenseTraffic &dense) const
     }
 
     // Fallback density models for format analysis of dense tensors,
-    // one per tensor instead of one per (level, tensor): the model is
-    // a pure function of its parameters, so sharing an instance
-    // yields identical statistics.
+    // one per tensor instead of one per (level, tensor), taken from
+    // the per-thread table (see denseFallback): the model is a pure
+    // function of its parameters, so sharing an instance yields
+    // identical statistics. The pointers keep them alive should the
+    // table replace one mid-analysis.
     SmallVector<DensityModelPtr, 4> fallback;
     fallback.resize(static_cast<std::size_t>(T));
-
-    // Per-tensor probEmpty memo shared across this tensor's format
-    // bindings at every level: probEmpty is a pure function of
-    // (density model, subtile volume), and each tensor keeps one model
-    // for the whole analysis, so a hit returns the identical double
-    // the recomputation would.
-    SmallVector<ProbEmptyMemo, 4> memos;
-    memos.resize(static_cast<std::size_t>(T));
 
     // ---- Compute action breakdown -------------------------------------
     double effectual_frac = effectualFraction();
@@ -399,10 +430,9 @@ SparseAnalysis::analyze(const DenseTraffic &dense) const
     }
 
     // ---- Per-level traffic --------------------------------------------
-    // Reused across every (level, tensor) format binding so the
-    // per-rank vectors inside keep their capacity; tileStatsPair
-    // computes the Expected and WorstCase estimates in one rank sweep
-    // with bit-identical results to two tileStats() calls.
+    // tileStatsPair computes the Expected and WorstCase estimates in
+    // one rank sweep with bit-identical results to two tileStats()
+    // calls.
     TileFormatStats stats;
     TileFormatStats worst;
     SmallVector<std::int64_t, 4> fmt_extents;
@@ -420,8 +450,7 @@ SparseAnalysis::analyze(const DenseTraffic &dense) const
                 const DensityModelPtr &tensor_model =
                     workload_.tensor(t).density;
                 if (!tensor_model && !fallback[t]) {
-                    fallback[t] = makeUniformDensity(
-                        workload_.tensorVolume(t), 1.0);
+                    fallback[t] = denseFallback(workload_.tensorVolume(t));
                 }
                 const DensityModel &model =
                     tensor_model ? *tensor_model : *fallback[t];
@@ -429,8 +458,7 @@ SparseAnalysis::analyze(const DenseTraffic &dense) const
                                         d.tile_extents.size(),
                                         fmt_extents);
                 fmt->tileStatsPair(model, fmt_extents.data(),
-                                   fmt_extents.size(), stats, worst,
-                                   &memos[static_cast<std::size_t>(t)]);
+                                   fmt_extents.size(), stats, worst);
                 int wb = arch_.level(l).word_bits;
                 if (d.kept) {
                     s.tile_data_words = stats.data_words;

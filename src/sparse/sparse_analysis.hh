@@ -176,16 +176,18 @@ class SparseAnalysis
     /** Delivery boundary of follower traffic for a SAF at its level. */
     int safBoundary(const IntersectionSaf &saf) const;
 
+    /** Per-dimension tile sizes, inline for up to 8 dimensions. */
+    using DimTiles = SmallVector<std::int64_t, 8>;
+
     /**
-     * eliminationProbability with caller-owned scratch buffers so the
-     * hoisted per-SAF loop in analyze() runs allocation-free after the
-     * first SAF (the buffers keep their capacity). Identical
-     * arithmetic, term for term, to the public method.
+     * eliminationProbability with a caller-owned dim-tile buffer, so
+     * the hoisted per-SAF loop in analyze() allocates nothing.
+     * Identical arithmetic, term for term, to the public method;
+     * coordinate-independent leaders read probEmpty through
+     * `probEmptyMemoized`, which returns the same double.
      */
     double eliminationProbabilityScratch(const IntersectionSaf &saf,
-                                         std::vector<std::int64_t>
-                                             &dim_tiles,
-                                         Shape &extents) const;
+                                         DimTiles &dim_tiles) const;
 
     /** Density of tensor t (1 when dense). */
     double density(int t) const;

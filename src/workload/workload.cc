@@ -9,6 +9,7 @@
 
 #include "common/logging.hh"
 #include "common/mathutil.hh"
+#include "common/small_vector.hh"
 
 namespace sparseloop {
 
@@ -125,6 +126,18 @@ Workload::tensorShape(int t) const
         full[d] = dims_[d].bound;
     }
     return tensorTileExtents(t, full);
+}
+
+std::int64_t
+Workload::tensorVolume(int t) const
+{
+    SmallVector<std::int64_t, 8> full;
+    for (const auto &dim : dims_) {
+        full.push_back(dim.bound);
+    }
+    TileExtents extents;
+    tensorTileExtentsInto(t, full.data(), extents);
+    return volume(extents);
 }
 
 Point

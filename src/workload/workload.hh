@@ -125,11 +125,9 @@ class Workload
     /** Full tensor shape (tile extents at the full dimension bounds). */
     Shape tensorShape(int t) const;
 
-    /** Number of elements of tensor @p t. */
-    std::int64_t tensorVolume(int t) const
-    {
-        return volume(tensorShape(t));
-    }
+    /** Number of elements of tensor @p t: the product of
+     *  `tensorShape(t)`, computed without allocating. */
+    std::int64_t tensorVolume(int t) const;
 
     /** Project an iteration-space point onto tensor @p t's ranks. */
     Point project(int t, const Point &iter_point) const;

@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <vector>
 
 #include "common/logging.hh"
+#include "common/thread_pool.hh"
 #include "density/actual_data.hh"
 #include "density/banded.hh"
 #include "density/hypergeometric.hh"
@@ -223,6 +226,128 @@ TEST_P(FiberShapeSweep, DensityConcentratesWithShape)
 
 INSTANTIATE_TEST_SUITE_P(Shapes, FiberShapeSweep,
                          ::testing::Values(1, 2, 4, 8, 16, 32, 64));
+
+// ---------------------------------------------------------------------------
+// probEmptyMemoized: the per-thread probEmpty memo of the engine's
+// Step-2 hot path.
+// ---------------------------------------------------------------------------
+
+/** Bitwise double equality (distinguishes -0.0, matches NaN). */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/** A coordinate-independent (or not) model that counts its probEmpty
+ *  calls; the answer is an arbitrary pure function of the volume. */
+class CountingDensity : public DensityModel
+{
+  public:
+    explicit CountingDensity(bool coordinate_dependent)
+        : coordinate_dependent_(coordinate_dependent)
+    {}
+    std::string name() const override { return "counting"; }
+    double tensorDensity() const override { return 0.5; }
+    double expectedOccupancy(std::int64_t n) const override
+    {
+        return 0.5 * static_cast<double>(n);
+    }
+    double probEmpty(std::int64_t n) const override
+    {
+        ++calls;
+        return 1.0 / (1.0 + static_cast<double>(n));
+    }
+    std::int64_t maxOccupancy(std::int64_t n) const override { return n; }
+    bool coordinateDependent() const override
+    {
+        return coordinate_dependent_;
+    }
+
+    mutable int calls = 0;
+
+  private:
+    bool coordinate_dependent_;
+};
+
+TEST(ProbEmptyMemo, HitsEqualTheClosedFormBitForBit)
+{
+    HypergeometricDensity m(1 << 20, 0.1);
+    for (int pass = 0; pass < 2; ++pass) {  // misses, then hits
+        for (std::int64_t v = 0; v <= 5000; v += 7) {
+            EXPECT_TRUE(sameBits(probEmptyMemoized(m, v), m.probEmpty(v)))
+                << "volume " << v << " pass " << pass;
+        }
+    }
+}
+
+TEST(ProbEmptyMemo, CollidingKeysKeepTheirOwnValues)
+{
+    HypergeometricDensity a(1 << 16, 0.3);
+    HypergeometricDensity b(1 << 16, 0.05);
+    // Three keys on one slot: two volumes of `a`, one of `b`.
+    const std::size_t slot = probEmptyMemoSlot(a.instanceId(), 100);
+    std::int64_t a2 = -1;
+    std::int64_t bv = -1;
+    for (std::int64_t v = 101; a2 < 0 || bv < 0; ++v) {
+        if (a2 < 0 && probEmptyMemoSlot(a.instanceId(), v) == slot) {
+            a2 = v;
+        }
+        if (bv < 0 && probEmptyMemoSlot(b.instanceId(), v) == slot) {
+            bv = v;
+        }
+    }
+    for (int round = 0; round < 3; ++round) {
+        EXPECT_TRUE(sameBits(probEmptyMemoized(a, 100), a.probEmpty(100)));
+        EXPECT_TRUE(sameBits(probEmptyMemoized(a, a2), a.probEmpty(a2)));
+        EXPECT_TRUE(sameBits(probEmptyMemoized(b, bv), b.probEmpty(bv)));
+        // The same volume under another model is another key.
+        EXPECT_TRUE(sameBits(probEmptyMemoized(b, 100), b.probEmpty(100)));
+    }
+}
+
+TEST(ProbEmptyMemo, CoordinateIndependentModelsAreServedFromTheMemo)
+{
+    CountingDensity model(false);
+    const double first = probEmptyMemoized(model, 12345);
+    const double second = probEmptyMemoized(model, 12345);
+    EXPECT_TRUE(sameBits(first, second));
+    EXPECT_EQ(model.calls, 1);
+}
+
+TEST(ProbEmptyMemo, CoordinateDependentModelsBypassTheMemo)
+{
+    CountingDensity model(true);
+    probEmptyMemoized(model, 12345);
+    probEmptyMemoized(model, 12345);
+    EXPECT_EQ(model.calls, 2);
+
+    // A real coordinate-dependent model answers as it would unmemoized.
+    BandedDensity band(64, 64, 2, 0.5);
+    for (std::int64_t v : {1, 4, 16, 64}) {
+        EXPECT_TRUE(sameBits(probEmptyMemoized(band, v), band.probEmpty(v)));
+    }
+}
+
+TEST(ProbEmptyMemo, AgreesAcrossPoolThreads)
+{
+    HypergeometricDensity m(1 << 18, 0.2);
+    constexpr std::size_t kQueries = 4000;
+    std::vector<double> expected(kQueries);
+    for (std::size_t i = 0; i < kQueries; ++i) {
+        expected[i] = m.probEmpty(static_cast<std::int64_t>(i % 900));
+    }
+    parallel::ThreadPool pool(3);
+    for (int round = 0; round < 3; ++round) {
+        std::vector<double> got(kQueries);
+        pool.parallelFor(4, kQueries, [&](std::size_t i) {
+            got[i] = probEmptyMemoized(m, static_cast<std::int64_t>(i % 900));
+        });
+        for (std::size_t i = 0; i < kQueries; ++i) {
+            ASSERT_TRUE(sameBits(got[i], expected[i])) << "query " << i;
+        }
+    }
+}
 
 } // namespace
 } // namespace sparseloop

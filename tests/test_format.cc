@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "common/mathutil.hh"
 #include "density/actual_data.hh"
@@ -219,6 +221,63 @@ TEST_P(ClassicFormats, ProducesFiniteStats)
 }
 
 INSTANTIATE_TEST_SUITE_P(All, ClassicFormats, ::testing::Range(0, 6));
+
+/** Bitwise double equality. */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(RlePaddingMemo, EqualsTheUncachedFormBitForBit)
+{
+    // More (density, bits) keys than memo slots, visited twice, so
+    // both colliding misses and hits are checked.
+    std::vector<double> densities{0.0, 1.0, -0.5, 1.5};
+    for (int i = 1; i < 150; ++i) {
+        densities.push_back(i / 151.0);
+    }
+    for (int pass = 0; pass < 2; ++pass) {
+        for (double d : densities) {
+            for (int bits : {1, 2, 4, 7}) {
+                for (double occ : {0.0, 0.75, 3.0, 1000.0}) {
+                    EXPECT_TRUE(
+                        sameBits(rleExpectedPaddingMemoized(occ, d, bits),
+                                 rleExpectedPadding(occ, d, bits)))
+                        << "d " << d << " bits " << bits << " occ " << occ;
+                }
+            }
+        }
+    }
+}
+
+TEST(RlePaddingMemo, TileStatsPairMatchesTileStats)
+{
+    // The memoized engine path against the reference's two calls.
+    TensorFormat burle({rf(RankFormatKind::B), rf(RankFormatKind::UOP),
+                        rf(RankFormatKind::RLE, 4)});
+    for (double density : {0.05, 0.3, 0.9}) {
+        HypergeometricDensity model(64 * 64 * 9, density);
+        for (int pass = 0; pass < 2; ++pass) {
+            for (std::int64_t c : {1, 4, 16, 64}) {
+                std::vector<std::int64_t> extents{c, 3, 3 * c};
+                TileFormatStats e;
+                TileFormatStats w;
+                burle.tileStatsPair(model, extents.data(), extents.size(),
+                                    e, w);
+                TileFormatStats re = burle.tileStats(model, extents);
+                TileFormatStats rw = burle.tileStats(
+                    model, extents, OccupancyEstimate::WorstCase);
+                EXPECT_TRUE(sameBits(e.data_words, re.data_words));
+                EXPECT_TRUE(sameBits(e.metadata_bits, re.metadata_bits));
+                EXPECT_TRUE(sameBits(w.data_words, rw.data_words));
+                EXPECT_TRUE(sameBits(w.metadata_bits, rw.metadata_bits));
+                EXPECT_TRUE(e.per_rank_metadata_bits ==
+                            re.per_rank_metadata_bits);
+            }
+        }
+    }
+}
 
 } // namespace
 } // namespace sparseloop

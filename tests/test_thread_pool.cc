@@ -225,6 +225,25 @@ TEST(ThreadPool, ResolveThreadCount)
     EXPECT_GE(hardwareThreads(), 1);
 }
 
+TEST(ThreadPool, CpuMaxQuotaParsing)
+{
+    // Unlimited: no cap.
+    EXPECT_EQ(cpuMaxThreads("max 100000"), 0);
+    // Quota over period, rounded up.
+    EXPECT_EQ(cpuMaxThreads("100000 100000"), 1);
+    EXPECT_EQ(cpuMaxThreads("150000 100000"), 2);
+    EXPECT_EQ(cpuMaxThreads("400000 100000"), 4);
+    EXPECT_EQ(cpuMaxThreads("50000 100000"), 1);
+    // Malformed lines impose no cap.
+    EXPECT_EQ(cpuMaxThreads(""), 0);
+    EXPECT_EQ(cpuMaxThreads("garbage"), 0);
+    EXPECT_EQ(cpuMaxThreads("100000"), 0);
+    EXPECT_EQ(cpuMaxThreads("100000 0"), 0);
+    EXPECT_EQ(cpuMaxThreads("-5 100000"), 0);
+    EXPECT_EQ(cpuMaxThreads("12ab 100000"), 0);
+    EXPECT_EQ(cpuMaxThreads("100000 x"), 0);
+}
+
 } // namespace
 } // namespace parallel
 } // namespace sparseloop
